@@ -1,17 +1,12 @@
-// Phased-vs-streaming wall-clock comparison (docs/PIPELINE.md).
+// Collection-dataflow wall clock (docs/PIPELINE.md).
 //
-// Both rows time the same deterministic work — one full checkpoint
-// evaluation (serve-backed generation of every task's samples, GLM2FSA
-// synthesis, formal verification, per-task means) on identically
-// pre-trained pipelines — differing only in PipelineConfig::streaming.
-// The two modes are bitwise-identical by construction (property-tested in
-// tests/test_dataflow.cpp and tests/test_properties.cpp), so the ratio is
-// a pure scheduling number: CI gates streaming ≤ phased via
-// scripts/check_bench_regression.py --mode pipeline, and the
-// --metrics-json report carries the dataflow queue/overlap gauges that
-// show verification running while generation is still draining.
+// One row times one full checkpoint evaluation — serve-backed generation
+// of every task's samples, GLM2FSA synthesis, formal verification, and
+// per-task means — on a pre-trained pipeline. The --metrics-json report
+// carries the dataflow queue/overlap gauges that show verification
+// running while generation is still draining; CI asserts on them.
 //
-//   ./micro_pipeline --benchmark_filter='BM_Pipeline/'
+//   ./micro_pipeline --benchmark_filter=BM_Pipeline
 //                    [--metrics-json out.json]
 //
 // The feedback cache is disabled so every iteration re-runs synthesis and
@@ -28,10 +23,9 @@ namespace {
 using dpoaf::core::DpoAfPipeline;
 using dpoaf::core::PipelineConfig;
 
-PipelineConfig bench_config(bool streaming) {
+PipelineConfig bench_config() {
   PipelineConfig cfg;
   cfg.seed = 7;
-  cfg.streaming = streaming;
   cfg.d_model = 32;
   cfg.n_heads = 2;
   cfg.n_layers = 2;
@@ -46,35 +40,27 @@ PipelineConfig bench_config(bool streaming) {
   return cfg;
 }
 
-// One pre-trained pipeline per mode, built lazily and reused across
-// iterations (identical seeds ⇒ identical weights, so the two rows time
-// the same computation).
-DpoAfPipeline& pipeline(bool streaming) {
-  static DpoAfPipeline* phased = nullptr;
-  static DpoAfPipeline* stream = nullptr;
-  DpoAfPipeline*& slot = streaming ? stream : phased;
-  if (slot == nullptr) {
-    slot = new DpoAfPipeline(bench_config(streaming));
-    slot->pretrain_model();
+// One pre-trained pipeline, built lazily and reused across iterations.
+DpoAfPipeline& pipeline() {
+  static DpoAfPipeline* pipe = nullptr;
+  if (pipe == nullptr) {
+    pipe = new DpoAfPipeline(bench_config());
+    pipe->pretrain_model();
   }
-  return *slot;
+  return *pipe;
 }
 
-void BM_Pipeline(benchmark::State& state, bool streaming) {
-  DpoAfPipeline& pipe = pipeline(streaming);
+void BM_Pipeline(benchmark::State& state) {
+  DpoAfPipeline& pipe = pipeline();
   for (auto _ : state) {
     // evaluate_model is deterministic per (seed, epoch): every iteration
-    // of both rows generates, synthesizes, and verifies the same
-    // responses, so the real_time delta is scheduling only.
+    // generates, synthesizes, and verifies the same responses.
     auto eval = pipe.evaluate_model(pipe.model(), 0);
     benchmark::DoNotOptimize(eval);
   }
 }
 
-BENCHMARK_CAPTURE(BM_Pipeline, phased, false)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Pipeline, streaming, true)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Pipeline)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -8,7 +8,7 @@
 //                          [--generator-seed N]
 //                          [--metrics-json PATH] [--trace-json PATH]
 //                          [--checkpoint-dir DIR] [--checkpoint-every N]
-//                          [--resume [PATH]] [--streaming | --phased]
+//                          [--resume [PATH]]
 // (defaults are sized to finish in about a minute on a laptop core)
 //
 // --generate-scenarios N appends N procedurally generated scenarios to the
@@ -17,10 +17,6 @@
 // M generated scenarios for the held-out generalization eval printed after
 // training. Same seeds ⇒ byte-identical stdout (wall-clock fields only
 // live in the JSON reports).
-//
-// --streaming (the default) runs sample→synthesize→verify→rank as a
-// bounded-queue dataflow; --phased restores the barriered phases. Both
-// produce bitwise-identical results (docs/PIPELINE.md).
 //
 // --metrics-json writes a dpoaf.run_report JSON document (metric counters,
 // per-phase wall times, per-epoch loss/KL series); --trace-json writes a
@@ -69,8 +65,6 @@ int main(int argc, char** argv) {
       cfg.checkpoint_dir = argv[i + 1];
     if (arg == "--checkpoint-every" && i + 1 < argc)
       cfg.checkpoint_every_epochs = std::atoi(argv[i + 1]);
-    if (arg == "--streaming") cfg.streaming = true;
-    if (arg == "--phased") cfg.streaming = false;
     if (arg == "--resume") {
       resume = true;
       // Optional explicit snapshot path; defaults to --checkpoint-dir.

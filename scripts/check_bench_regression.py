@@ -1,35 +1,21 @@
 #!/usr/bin/env python3
-"""Gate benchmark comparisons (stdlib only).
+"""Gate the simd backend's matmul speedup over scalar (stdlib only).
 
-Two modes over a google-benchmark ``--benchmark_out`` JSON file:
+Usage: check_bench_regression.py BENCH.json [--mode tensor]
+                                 [--min-ratio 2.0]
+                                 [--out BENCH_tensor.json]
 
-``--mode tensor`` (default)
-    Gate the simd backend's matmul speedup over scalar.
-    Usage: check_bench_regression.py BENCH.json [--min-ratio 2.0]
-                                     [--out BENCH_tensor.json]
-    Rows are named ``BM_Matmul/<backend>/<n>`` and carry a ``GFLOP/s``
-    counter (each row has already asserted numerical equivalence against
-    the scalar reference, so a throughput number here is also a
-    correctness certificate — see bench/micro_tensor.cpp). Writes a
-    summary artifact with per-size scalar/simd GFLOP/s and the speedup
-    ratio, then fails (exit 1) if the ratio at the LARGEST common size is
-    below --min-ratio: the largest size is the least noise-prone and the
-    closest to the pipeline's real working set. Missing simd rows (CPU
-    without AVX2+FMA, or rows that errored) fail the gate too — CI
-    runners are x86_64, so absence there means the dispatch broke.
-
-``--mode pipeline``
-    Gate the streaming dataflow pipeline against the phased baseline
-    (docs/PIPELINE.md).
-    Usage: check_bench_regression.py BENCH.json --mode pipeline
-                                     [--max-ratio 1.10]
-                                     [--out BENCH_pipeline.json]
-    Rows come from ``micro_pipeline --benchmark_filter='BM_Pipeline/'``
-    and are named ``BM_Pipeline/{phased,streaming}``; both time identical
-    (bitwise-equal, property-tested) work, so real_time is a pure
-    scheduling comparison. Fails if streaming:phased real_time exceeds
-    --max-ratio — streaming must never be slower than the barriered
-    phases it replaced, modulo the noise allowance.
+Reads a google-benchmark ``--benchmark_out`` JSON file. Rows are named
+``BM_Matmul/<backend>/<n>`` and carry a ``GFLOP/s`` counter (each row has
+already asserted numerical equivalence against the scalar reference, so a
+throughput number here is also a correctness certificate — see
+bench/micro_tensor.cpp). Writes a summary artifact with per-size
+scalar/simd GFLOP/s and the speedup ratio, then fails (exit 1) if the
+ratio at the LARGEST common size is below --min-ratio: the largest size is
+the least noise-prone and the closest to the pipeline's real working set.
+Missing simd rows (CPU without AVX2+FMA, or rows that errored) fail the
+gate too — CI runners are x86_64, so absence there means the dispatch
+broke.
 """
 
 import argparse
@@ -38,7 +24,6 @@ import re
 import sys
 
 ROW = re.compile(r"^BM_Matmul/(scalar|simd)/(\d+)$")
-PIPELINE_ROW = re.compile(r"^BM_Pipeline/(phased|streaming)$")
 
 
 def load_rows(path):
@@ -64,88 +49,18 @@ def load_rows(path):
     return rows
 
 
-def load_pipeline_rows(path):
-    """-> {mode: real_time_ms} from a --benchmark_out JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    rows = {}
-    for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        match = PIPELINE_ROW.match(bench.get("name", ""))
-        if not match:
-            continue
-        if bench.get("error_occurred"):
-            print(f"error row: {bench['name']}: "
-                  f"{bench.get('error_message', 'unknown error')}")
-            continue
-        real_time = bench.get("real_time")
-        if not isinstance(real_time, (int, float)) or real_time <= 0:
-            print(f"row {bench['name']} has no positive real_time")
-            continue
-        unit = bench.get("time_unit", "ns")
-        to_ms = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
-        rows[match.group(1)] = real_time * to_ms.get(unit, 1e-6)
-    return rows
-
-
-def run_pipeline_gate(args):
-    rows = load_pipeline_rows(args.bench_json)
-    missing = sorted({"phased", "streaming"} - set(rows))
-    summary = {
-        "schema": "dpoaf.bench_pipeline",
-        "version": 1,
-        "max_ratio": args.max_ratio,
-        "phased_ms": round(rows["phased"], 3) if "phased" in rows else None,
-        "streaming_ms":
-            round(rows["streaming"], 3) if "streaming" in rows else None,
-        "ratio": (round(rows["streaming"] / rows["phased"], 3)
-                  if not missing else None),
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-
-    if missing:
-        print(f"missing BM_Pipeline rows in {args.bench_json}: "
-              f"{', '.join(missing)}")
-        return 1
-    print(f"phased {summary['phased_ms']} ms, "
-          f"streaming {summary['streaming_ms']} ms, "
-          f"ratio {summary['ratio']}x")
-    if summary["ratio"] > args.max_ratio:
-        print(f"FAIL: streaming:phased ratio {summary['ratio']}x exceeds "
-              f"the {args.max_ratio}x ceiling — the dataflow pipeline "
-              f"regressed against the barriered phases")
-        return 1
-    print(f"OK: streaming:phased ratio {summary['ratio']}x is within the "
-          f"{args.max_ratio}x ceiling")
-    return 0
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("bench_json")
-    parser.add_argument("--mode", choices=("tensor", "pipeline"),
-                        default="tensor",
-                        help="which gate to run (default: tensor)")
+    parser.add_argument("--mode", choices=("tensor",), default="tensor",
+                        help="which gate to run (only: tensor)")
     parser.add_argument("--min-ratio", type=float, default=2.0,
-                        help="tensor mode: minimum simd:scalar GFLOP/s "
-                             "ratio at the largest common size "
-                             "(default: 2.0)")
-    parser.add_argument("--max-ratio", type=float, default=1.10,
-                        help="pipeline mode: maximum streaming:phased "
-                             "real_time ratio (default: 1.10)")
-    parser.add_argument("--out", default=None,
-                        help="summary artifact path (default: "
-                             "BENCH_tensor.json / BENCH_pipeline.json by "
-                             "mode)")
+                        help="minimum simd:scalar GFLOP/s ratio at the "
+                             "largest common size (default: 2.0)")
+    parser.add_argument("--out", default="BENCH_tensor.json",
+                        help="summary artifact path "
+                             "(default: BENCH_tensor.json)")
     args = parser.parse_args()
-    if args.out is None:
-        args.out = ("BENCH_tensor.json" if args.mode == "tensor"
-                    else "BENCH_pipeline.json")
-    if args.mode == "pipeline":
-        return run_pipeline_gate(args)
 
     rows = load_rows(args.bench_json)
     sizes = sorted(set(rows["scalar"]) & set(rows["simd"]))

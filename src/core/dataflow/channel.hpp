@@ -1,4 +1,4 @@
-// Bounded MPMC channel — the edge type of the streaming pipeline
+// Bounded MPMC channel — the edge type of the collection dataflow
 // (docs/PIPELINE.md).
 //
 // Semantics:

@@ -1,4 +1,4 @@
-// Sequence-numbered reassembly — the streaming pipeline's determinism
+// Sequence-numbered reassembly — the collection dataflow's determinism
 // hinge (docs/PIPELINE.md).
 //
 // Producers stamp every item with the sequence number it was *submitted*
@@ -7,8 +7,8 @@
 // releases items strictly in sequence order, blocking until the next
 // expected number arrives. The consumer therefore observes the same order
 // a serial run would have produced, regardless of which stage worker
-// finished first — this is what makes the streaming pipeline's output
-// bitwise-identical to the phased one.
+// finished first — this is what makes the pipeline's output
+// bitwise-identical at any thread count.
 //
 // close() marks the producer side done: pop() keeps releasing the
 // in-order prefix, then returns nullopt. fail() aborts — pending items

@@ -1,4 +1,4 @@
-// Stage workers for the streaming pipeline (docs/PIPELINE.md).
+// Stage workers for the collection dataflow (docs/PIPELINE.md).
 //
 // A StageSet owns the worker threads of a dataflow graph. Workers are
 // dedicated std::threads, NOT jobs on util::ThreadPool — a pool job that
@@ -8,7 +8,7 @@
 // shared pool: worker counts are derived from util::global_threads(),
 // and per-item work either fans out through parallel_for or pins itself
 // serial with util::InlineComputeGuard so the stage's worker count is
-// the unit of parallelism (same contract as phased parallel_for chunks).
+// the unit of parallelism (same contract as parallel_for chunks).
 //
 // Error model ("clean shutdown/drain on error"): the first exception a
 // worker throws is captured; the set's on_error hook fires once (the

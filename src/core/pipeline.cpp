@@ -60,6 +60,24 @@ driving::generator::GeneratorConfig make_generator_config(
   return gen;
 }
 
+// One generator per task, split from `parent` in serial task order: the
+// stream each task sees is fixed before any worker runs, so every thread
+// count yields identical results.
+std::vector<Rng> split_per_task(Rng& parent, std::size_t tasks) {
+  std::vector<Rng> rngs;
+  rngs.reserve(tasks);
+  for (std::size_t i = 0; i < tasks; ++i) rngs.push_back(parent.split());
+  return rngs;
+}
+
+lm::SamplerConfig eval_sampler(const PipelineConfig& config) {
+  lm::SamplerConfig sampler;
+  sampler.temperature = config.eval_temperature;
+  sampler.top_k = config.eval_top_k;
+  sampler.max_new_tokens = config.eval_max_new_tokens;
+  return sampler;
+}
+
 serve::ServiceConfig make_serve_config(const PipelineConfig& config) {
   serve::ServiceConfig scfg;
   scfg.slots = config.serve_slots;
@@ -224,10 +242,9 @@ void DpoAfPipeline::stream_scored_responses(
     const std::function<void(ScoredItem&&)>& consume) const {
   const std::size_t n_tasks = tasks.size();
   // Sequence numbers are assigned at submission, task-major then
-  // sample-minor — the exact order the phased pipeline consumes in — and
-  // every per-candidate RNG draw below comes from the serially-split
-  // task_rngs, so reassembling by sequence number reproduces the phased
-  // output bit for bit (docs/PIPELINE.md).
+  // sample-minor, and every per-candidate RNG draw below comes from the
+  // serially-split task_rngs, so reassembling by sequence number makes the
+  // consumer's work independent of scheduling (docs/PIPELINE.md).
   std::vector<std::uint64_t> seq_base(n_tasks + 1, 0);
   for (std::size_t u = 0; u < n_tasks; ++u)
     seq_base[u + 1] = seq_base[u] + static_cast<std::uint64_t>(counts[u]);
@@ -245,7 +262,7 @@ void DpoAfPipeline::stream_scored_responses(
   dataflow::Channel<WorkItem> work(capacity, "pipeline.candidates");
   dataflow::Reorder<ScoredItem> scored("pipeline.scored");
   // Overlap telemetry: scorings that complete while the sampler stage is
-  // still producing are exactly the work the phased pipeline serialized.
+  // still producing — work a barrier between the stages would serialize.
   std::atomic<bool> sampling_open{true};
   std::atomic<std::uint64_t> scored_while_sampling{0};
 
@@ -281,8 +298,8 @@ void DpoAfPipeline::stream_scored_responses(
   // --- sampler stage --------------------------------------------------
   if (source == SampleSource::kServe) {
     // Submitter: draw every per-request seed serially from the task RNGs
-    // (the same derivation lm::sample_responses_served uses) and let the
-    // service's bounded admission queue provide natural backpressure.
+    // and let the service's bounded admission queue provide natural
+    // backpressure.
     stages.spawn(
         "submit", 1,
         [&](int) {
@@ -371,11 +388,8 @@ void DpoAfPipeline::stream_scored_responses(
   }
 
   // --- synthesis + verification stage ---------------------------------
-  const int score_workers =
-      config_.verify_workers > 0 ? config_.verify_workers
-                                 : util::global_threads();
   stages.spawn(
-      "verify", score_workers,
+      "verify", util::global_threads(),
       [&](int) {
         util::InlineComputeGuard serial;
         while (auto item = work.pop()) {
@@ -399,7 +413,7 @@ void DpoAfPipeline::stream_scored_responses(
   }
   stages.join();  // rethrows the first stage error, if any
   DPOAF_CHECK_MSG(consumed == total,
-                  "streaming pipeline dropped scored candidates");
+                  "collection dataflow dropped scored candidates");
   if (obs::enabled()) {
     obs::gauge("dataflow.pipeline.scored_while_sampling")
         .record_max(static_cast<std::int64_t>(
@@ -409,20 +423,13 @@ void DpoAfPipeline::stream_scored_responses(
   }
 }
 
-DpoAfPipeline::StreamedCollection DpoAfPipeline::stream_collect(
-    bool with_pairs) {
+std::vector<TaskCandidates> DpoAfPipeline::collect_candidates() {
   DPOAF_CHECK_MSG(pretrained_ || config_.candidates_from_catalog,
                   "call pretrain_model() before sampling candidates");
   std::vector<const driving::Task*> training;
-  for (const auto& task : domain_.tasks())
+  for (const auto& task : domain_.tasks())  // pairs: training, non-held-out
     if (task.training && !task.holdout) training.push_back(&task);
-
-  // Same serial split as the phased path: the pipeline RNG stream is
-  // identical in both modes.
-  std::vector<Rng> task_rngs;
-  task_rngs.reserve(training.size());
-  for (std::size_t i = 0; i < training.size(); ++i)
-    task_rngs.push_back(rng_.split());
+  std::vector<Rng> task_rngs = split_per_task(rng_, training.size());
 
   SampleSource source = SampleSource::kDirect;
   if (config_.candidates_from_catalog)
@@ -431,98 +438,18 @@ DpoAfPipeline::StreamedCollection DpoAfPipeline::stream_collect(
     source = SampleSource::kServe;
 
   std::vector<int> counts(training.size(), config_.responses_per_task);
-  if (source == SampleSource::kCatalog)
-    for (std::size_t u = 0; u < training.size(); ++u)
-      counts[u] = static_cast<int>(training[u]->variants.size());
-
-  StreamedCollection out;
-  out.candidates.resize(training.size());
-  for (std::size_t u = 0; u < training.size(); ++u)
-    out.candidates[u].task_id = training[u]->id;
-
-  static obs::Counter& pair_counter = obs::counter("pipeline.pairs_built");
-  stream_scored_responses(
-      training, counts, model_, config_.sampler, source, task_rngs,
-      [&](ScoredItem&& item) {
-        TaskCandidates& tc = out.candidates[item.task_index];
-        if (item.truncated) ++tc.truncated;
-        tc.candidates.push_back(std::move(item.candidate));
-        // Consumption is sequence-ordered, so a task is complete exactly
-        // when its last candidate arrives — build its pairs right away
-        // (the pair-builder stage of the dataflow).
-        if (with_pairs &&
-            tc.candidates.size() ==
-                static_cast<std::size_t>(counts[item.task_index])) {
-          obs::Span span("ranking", obs::histogram("pipeline.ranking_ns"));
-          const auto& task = *training[item.task_index];
-          const auto task_pairs = dpo::build_preference_pairs(
-              task.id, task.prompt, tc.candidates, tokenizer_,
-              model_.config().max_seq);
-          out.pairs.insert(out.pairs.end(), task_pairs.begin(),
-                           task_pairs.end());
-        }
-      });
-  if (with_pairs) pair_counter.add(out.pairs.size());
-  return out;
-}
-
-std::vector<TaskCandidates> DpoAfPipeline::collect_candidates() {
-  if (config_.streaming) return stream_collect(/*with_pairs=*/false).candidates;
-  DPOAF_CHECK_MSG(pretrained_ || config_.candidates_from_catalog,
-                  "call pretrain_model() before sampling candidates");
-  std::vector<const driving::Task*> training;
-  for (const auto& task : domain_.tasks())  // pairs: training, non-held-out
-    if (task.training && !task.holdout) training.push_back(&task);
-
-  // One generator per task, split from the pipeline RNG in serial task
-  // order: the sampling stream each task sees is fixed before the fan-out,
-  // so any thread count yields identical candidates.
-  std::vector<Rng> task_rngs;
-  task_rngs.reserve(training.size());
-  for (std::size_t i = 0; i < training.size(); ++i)
-    task_rngs.push_back(rng_.split());
-
-  // Serve mode: generation goes through the continuous-batching service
-  // first (each task's m requests decode interleaved across the slots);
-  // the fan-out below then only scores. The two phases never share the
-  // thread pool, and per-request seeds come from the same serially-split
-  // task RNGs, so candidates are identical at any slot or thread count.
-  const bool use_serve = config_.serve && !config_.candidates_from_catalog;
-  std::vector<lm::SampledResponses> served(training.size());
-  if (use_serve) {
-    serve::GenerationService service(model_, make_serve_config(config_));
-    for (std::size_t u = 0; u < training.size(); ++u)
-      served[u] = lm::sample_responses_served(
-          service, tokenizer_, training[u]->prompt,
-          config_.responses_per_task, config_.sampler, task_rngs[u]);
-  }
-
   std::vector<TaskCandidates> out(training.size());
-  util::parallel_for(0, static_cast<std::int64_t>(training.size()), 1,
-                     [&](std::int64_t t0, std::int64_t t1) {
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const auto u = static_cast<std::size_t>(t);
-      const driving::Task& task = *training[u];
-      TaskCandidates tc;
-      tc.task_id = task.id;
-      if (config_.candidates_from_catalog) {
-        for (const auto& variant : task.variants)
-          tc.candidates.push_back(
-              {variant.text, score_response(task, variant.text)});
-      } else {
-        const auto responses =
-            use_serve
-                ? std::move(served[u])
-                : lm::sample_responses(model_, tokenizer_, task.prompt,
-                                       config_.responses_per_task,
-                                       config_.sampler, task_rngs[u]);
-        tc.truncated = responses.truncated_count();
-        for (const auto& response : responses.texts)
-          tc.candidates.push_back({response, score_response(task, response)});
-      }
-      out[u] = std::move(tc);
-    }
-  });
+  for (std::size_t u = 0; u < training.size(); ++u) {
+    out[u].task_id = training[u]->id;
+    if (source == SampleSource::kCatalog)
+      counts[u] = static_cast<int>(training[u]->variants.size());
+  }
+  stream_scored_responses(training, counts, model_, config_.sampler, source,
+                          task_rngs, [&](ScoredItem&& item) {
+                            TaskCandidates& tc = out[item.task_index];
+                            if (item.truncated) ++tc.truncated;
+                            tc.candidates.push_back(std::move(item.candidate));
+                          });
   return out;
 }
 
@@ -559,13 +486,7 @@ CheckpointEval DpoAfPipeline::evaluate_model(const TinyGpt& model,
   // Deterministic per (seed, epoch) so evaluation noise is shared across
   // configurations being compared.
   Rng eval_rng(config_.seed * 0x9E3779B9ULL + static_cast<std::uint64_t>(epoch));
-  lm::SamplerConfig sampler;
-  sampler.temperature = config_.eval_temperature;
-  sampler.top_k = config_.eval_top_k;
-  sampler.max_new_tokens = config_.eval_max_new_tokens;
 
-  // Per-task generators split in serial task order (see
-  // collect_candidates) keep the evaluation identical at any thread count.
   // Held-out tasks never appear in checkpoint evaluation — they are
   // reserved for evaluate_generalization (and skipping them here keeps the
   // no-holdout RNG stream untouched: the split count only drops when a
@@ -573,82 +494,35 @@ CheckpointEval DpoAfPipeline::evaluate_model(const TinyGpt& model,
   std::vector<const driving::Task*> tasks;
   for (const auto& task : domain_.tasks())
     if (!task.holdout) tasks.push_back(&task);
-  std::vector<Rng> task_rngs;
-  task_rngs.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    task_rngs.push_back(eval_rng.split());
+  std::vector<Rng> task_rngs = split_per_task(eval_rng, tasks.size());
 
+  // The sequence-ordered consumer accumulates each task's scores in sample
+  // order, so every mean below is the same at any thread count.
+  const std::vector<int> counts(tasks.size(), config_.eval_samples_per_task);
+  std::vector<double> score_sum(tasks.size(), 0.0);
+  std::vector<int> failures(tasks.size(), 0);
+  std::vector<int> per_task_truncated(tasks.size(), 0);
+  stream_scored_responses(
+      tasks, counts, model, eval_sampler(config_),
+      config_.serve ? SampleSource::kServe : SampleSource::kDirect, task_rngs,
+      [&](ScoredItem&& item) {
+        const std::size_t u = item.task_index;
+        if (item.truncated) ++per_task_truncated[u];
+        // The mean counts an unalignable response as 0 satisfied specs;
+        // the failure itself is tallied separately so the two outcomes
+        // stay distinguishable.
+        if (item.candidate.score < 0) ++failures[u];
+        score_sum[u] += std::max(0, item.candidate.score);
+      });
+  const auto n = static_cast<double>(config_.eval_samples_per_task);
   eval.per_task.resize(tasks.size());
   eval.per_task_alignment_failure.resize(tasks.size());
-  std::vector<int> per_task_truncated(tasks.size(), 0);
-  if (config_.streaming) {
-    // Streaming: each response is scored as soon as it is decoded; the
-    // sequence-ordered consumer reproduces the phased path's per-task
-    // serial accumulation order, so every mean below is bitwise-identical.
-    const std::vector<int> counts(tasks.size(),
-                                  config_.eval_samples_per_task);
-    std::vector<double> score_sum(tasks.size(), 0.0);
-    std::vector<int> failures(tasks.size(), 0);
-    stream_scored_responses(
-        tasks, counts, model, sampler,
-        config_.serve ? SampleSource::kServe : SampleSource::kDirect,
-        task_rngs, [&](ScoredItem&& item) {
-          const std::size_t u = item.task_index;
-          if (item.truncated) ++per_task_truncated[u];
-          // The mean counts an unalignable response as 0 satisfied specs;
-          // the failure itself is tallied separately so the two outcomes
-          // stay distinguishable.
-          if (item.candidate.score < 0) ++failures[u];
-          score_sum[u] += std::max(0, item.candidate.score);
-        });
-    const auto n = static_cast<double>(config_.eval_samples_per_task);
-    for (std::size_t u = 0; u < tasks.size(); ++u) {
-      eval.per_task[u] = {tasks[u]->id, score_sum[u] / n};
-      eval.per_task_alignment_failure[u] =
-          static_cast<double>(failures[u]) / n;
-    }
-  } else {
-    // Phased: serve mode batches all generation first, then the fan-out
-    // below only scores.
-    std::vector<lm::SampledResponses> served(tasks.size());
-    if (config_.serve) {
-      serve::GenerationService service(model, make_serve_config(config_));
-      for (std::size_t u = 0; u < tasks.size(); ++u)
-        served[u] = lm::sample_responses_served(
-            service, tokenizer_, tasks[u]->prompt,
-            config_.eval_samples_per_task, sampler, task_rngs[u]);
-    }
-    util::parallel_for(0, static_cast<std::int64_t>(tasks.size()), 1,
-                       [&](std::int64_t t0, std::int64_t t1) {
-      for (std::int64_t t = t0; t < t1; ++t) {
-        const auto u = static_cast<std::size_t>(t);
-        const driving::Task& task = *tasks[u];
-        const auto responses =
-            config_.serve
-                ? std::move(served[u])
-                : lm::sample_responses(model, tokenizer_, task.prompt,
-                                       config_.eval_samples_per_task, sampler,
-                                       task_rngs[u]);
-        per_task_truncated[u] = responses.truncated_count();
-        double score_sum = 0.0;
-        int failures = 0;
-        for (const auto& response : responses.texts) {
-          const int score = score_response(task, response);
-          // The mean counts an unalignable response as 0 satisfied specs;
-          // the failure itself is tallied separately so the two outcomes
-          // stay distinguishable.
-          if (score < 0) ++failures;
-          score_sum += std::max(0, score);
-        }
-        const auto n = static_cast<double>(responses.texts.size());
-        eval.per_task[u] = {task.id, score_sum / n};
-        eval.per_task_alignment_failure[u] =
-            static_cast<double>(failures) / n;
-      }
-    });
+  for (std::size_t u = 0; u < tasks.size(); ++u) {
+    eval.per_task[u] = {tasks[u]->id, score_sum[u] / n};
+    eval.per_task_alignment_failure[u] = static_cast<double>(failures[u]) / n;
   }
 
-  // Serial reduction in task order, independent of the fan-out above.
+  // Serial reduction in task order.
   double train_sum = 0.0, val_sum = 0.0;
   double train_fail = 0.0, val_fail = 0.0;
   std::size_t train_n = 0, val_n = 0;
@@ -685,62 +559,51 @@ GeneralizationEval DpoAfPipeline::evaluate_generalization() const {
   // A fixed offset of the pipeline seed — a private stream, so running (or
   // skipping) this eval never perturbs any other RNG consumer.
   Rng gen_rng(config_.seed * 0x9E3779B9ULL + 0xC0FFEEULL);
-  lm::SamplerConfig sampler;
-  sampler.temperature = config_.eval_temperature;
-  sampler.top_k = config_.eval_top_k;
-  sampler.max_new_tokens = config_.eval_max_new_tokens;
+  std::vector<const driving::Task*> tasks;
+  for (const auto& task : domain_.tasks()) tasks.push_back(&task);
+  std::vector<Rng> task_rngs = split_per_task(gen_rng, tasks.size());
 
-  const auto& tasks = domain_.tasks();
-  std::vector<Rng> task_rngs;
-  task_rngs.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    task_rngs.push_back(gen_rng.split());
-
+  // Generated rulebooks differ in length, so satisfied counts are
+  // normalized by the task's own rulebook size before averaging.
+  std::vector<double> rulebook_size(tasks.size());
+  for (std::size_t u = 0; u < tasks.size(); ++u)
+    rulebook_size[u] =
+        static_cast<double>(domain_.specs_for(tasks[u]->scenario).size());
   struct TaskScore {
     double satisfied_fraction = 0.0;
     double alignment_failure = 0.0;
     double violation = 0.0;
   };
   std::vector<TaskScore> scores(tasks.size());
-  util::parallel_for(0, static_cast<std::int64_t>(tasks.size()), 1,
-                     [&](std::int64_t t0, std::int64_t t1) {
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const auto u = static_cast<std::size_t>(t);
-      const driving::Task& task = tasks[u];
-      // Generated rulebooks differ in length, so satisfied counts are
-      // normalized by the task's own rulebook size before averaging.
-      const auto rulebook_size =
-          static_cast<double>(domain_.specs_for(task.scenario).size());
-      const auto responses =
-          lm::sample_responses(model_, tokenizer_, task.prompt,
-                               config_.eval_samples_per_task, sampler,
-                               task_rngs[u]);
-      TaskScore s;
-      for (const auto& response : responses.texts) {
-        const int score = score_response(task, response);
+  const std::vector<int> counts(tasks.size(), config_.eval_samples_per_task);
+  stream_scored_responses(
+      tasks, counts, model_, eval_sampler(config_), SampleSource::kDirect,
+      task_rngs, [&](ScoredItem&& item) {
+        const std::size_t u = item.task_index;
+        const int score = item.candidate.score;
+        TaskScore& s = scores[u];
         if (score < 0)
           s.alignment_failure += 1.0;
-        else if (static_cast<double>(score) < rulebook_size)
+        else if (static_cast<double>(score) < rulebook_size[u])
           s.violation += 1.0;
-        s.satisfied_fraction += std::max(0, score) / rulebook_size;
-      }
-      const auto n = static_cast<double>(responses.texts.size());
-      s.satisfied_fraction /= n;
-      s.alignment_failure /= n;
-      s.violation /= n;
-      scores[u] = s;
-    }
-  });
+        s.satisfied_fraction += std::max(0, score) / rulebook_size[u];
+      });
+  const auto n = static_cast<double>(config_.eval_samples_per_task);
+  for (TaskScore& s : scores) {
+    s.satisfied_fraction /= n;
+    s.alignment_failure /= n;
+    s.violation /= n;
+  }
 
   // Serial reduction in task order.
   for (std::size_t u = 0; u < tasks.size(); ++u) {
     const TaskScore& s = scores[u];
-    if (tasks[u].holdout) {
+    if (tasks[u]->holdout) {
       ++out.holdout_tasks;
       out.holdout_mean_satisfied_fraction += s.satisfied_fraction;
       out.holdout_alignment_failure_rate += s.alignment_failure;
       out.holdout_violation_rate += s.violation;
-      out.per_holdout_task.emplace_back(tasks[u].id, s.satisfied_fraction);
+      out.per_holdout_task.emplace_back(tasks[u]->id, s.satisfied_fraction);
     } else {
       ++out.train_tasks;
       out.train_mean_satisfied_fraction += s.satisfied_fraction;
@@ -891,16 +754,7 @@ RunResult DpoAfPipeline::run() {
     pretrain_model_impl(&state);
   }
   if (!pretrained_) pretrain_model();
-  if (config_.streaming) {
-    // One dataflow for stages 2–4: candidates stream from the sampler
-    // through synthesis/verification into the pair builder, and DPO
-    // consumes the completed pair set per epoch.
-    const auto streamed = stream_collect(/*with_pairs=*/true);
-    return run_dpo(streamed.pairs);
-  }
-  const auto candidates = collect_candidates();
-  const auto pairs = build_pairs(candidates);
-  return run_dpo(pairs);
+  return run_dpo(build_pairs(collect_candidates()));
 }
 
 }  // namespace dpoaf::core

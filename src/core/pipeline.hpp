@@ -77,18 +77,10 @@ struct PipelineConfig {
   /// Concurrent decode slots when serve is enabled.
   int serve_slots = 8;
 
-  // ---- Streaming dataflow (docs/PIPELINE.md) -------------------------
-  /// Run stages 2–4 (sampling → synthesis/verification → ranking) as a
-  /// bounded-queue streaming dataflow instead of barriered phases:
-  /// every candidate is scored as soon as it is decoded, and a task's
-  /// preference pairs are built the moment its last candidate is scored.
-  /// Sequence-numbered reassembly preserves the serial consumption order,
-  /// so the RunResult is bitwise-identical to the phased pipeline at any
-  /// thread count on either backend (property-tested) — this is a
-  /// scheduling knob, not an experiment axis.
-  bool streaming = true;
-  /// Scoring-stage workers when streaming. 0 ⇒ the thread-pool size.
-  int verify_workers = 0;
+  // ---- Collection dataflow (docs/PIPELINE.md) ------------------------
+  // Stages 2–3 and every evaluation run as one bounded-queue dataflow:
+  // each candidate is scored as soon as it is decoded, on
+  // util::global_threads() verifier workers.
   /// Bounded capacity of each inter-stage queue. Fast stages block once
   /// they are this far ahead (backpressure); values < 1 are clamped to 1.
   int stage_queue_capacity = 32;
@@ -240,10 +232,11 @@ class DpoAfPipeline {
   [[nodiscard]] const TinyGpt& model() const { return model_; }
 
   /// Stages 2–3: sample m responses per training task and score each via
-  /// formal verification.
+  /// formal verification (the catalog variants instead, when
+  /// candidates_from_catalog).
   [[nodiscard]] std::vector<TaskCandidates> collect_candidates();
 
-  /// Stage 4: all strictly-ordered preference pairs.
+  /// Stage 4: all strictly-ordered preference pairs, in task order.
   [[nodiscard]] std::vector<dpo::PreferencePair> build_pairs(
       const std::vector<TaskCandidates>& candidates) const;
 
@@ -251,7 +244,8 @@ class DpoAfPipeline {
   /// evaluation. Leaves the fine-tuned policy accessible via model().
   RunResult run_dpo(const std::vector<dpo::PreferencePair>& pairs);
 
-  /// Convenience: run all stages and return the result. When
+  /// Convenience: run all stages — run_dpo(build_pairs(
+  /// collect_candidates())) after pre-training — and return the result. When
   /// config.resume_from is set, the run restarts from that snapshot
   /// instead: a pretrain-stage checkpoint re-enters the pre-training loop
   /// (then runs stages 2–6 normally); a dpo-stage checkpoint restores the
@@ -272,8 +266,10 @@ class DpoAfPipeline {
   [[nodiscard]] int score_response(const driving::Task& task,
                                    const std::string& response_text) const;
 
-  /// Greedy-decode every non-held-out task and verify (one Figure-9 data
-  /// point; held-out tasks are reserved for evaluate_generalization).
+  /// Sample eval_samples_per_task responses per non-held-out task at
+  /// eval_temperature/eval_top_k, verify each, and average the satisfied
+  /// specs per task (one Figure-9 data point; held-out tasks are reserved
+  /// for evaluate_generalization). Deterministic per (seed, epoch).
   [[nodiscard]] CheckpointEval evaluate_model(const TinyGpt& model,
                                               int epoch) const;
 
@@ -284,7 +280,7 @@ class DpoAfPipeline {
   [[nodiscard]] GeneralizationEval evaluate_generalization() const;
 
  private:
-  /// One scored candidate leaving the streaming dataflow's verifier stage,
+  /// One scored candidate leaving the dataflow's verifier stage,
   /// released to the consumer in sequence (task-major, sample-minor) order.
   struct ScoredItem {
     std::size_t task_index = 0;
@@ -293,13 +289,8 @@ class DpoAfPipeline {
   };
   /// Where the sampler stage gets candidate texts from.
   enum class SampleSource { kCatalog, kDirect, kServe };
-  /// Candidates plus (optionally) the pairs built as tasks completed.
-  struct StreamedCollection {
-    std::vector<TaskCandidates> candidates;
-    std::vector<dpo::PreferencePair> pairs;
-  };
 
-  /// The streaming engine behind stages 2–3 and checkpoint eval: generate
+  /// The dataflow behind stages 2–3 and every evaluation: generate
   /// `counts[u]` responses for each task, score each response as soon as
   /// it is available, and invoke `consume` on the calling thread in serial
   /// submission order (see docs/PIPELINE.md for the stage graph, queue
@@ -310,9 +301,6 @@ class DpoAfPipeline {
       const lm::SamplerConfig& sampler, SampleSource source,
       std::vector<Rng>& task_rngs,
       const std::function<void(ScoredItem&&)>& consume) const;
-  /// Stages 2–4 as one dataflow; pair building is skipped (and the
-  /// "ranking" spans with it) when `with_pairs` is false.
-  StreamedCollection stream_collect(bool with_pairs);
 
   /// Shared trailer of every snapshot: stage-independent identity fields
   /// (seed, model config, LoRA layout, vocabulary).

@@ -120,59 +120,6 @@ SampledResponses sample_responses(const TinyGpt& model, const Tokenizer& tok,
   return out;
 }
 
-SampledResponses sample_responses_served(serve::GenerationService& service,
-                                         const Tokenizer& tok,
-                                         const std::string& task_prompt,
-                                         int m, const SamplerConfig& config,
-                                         Rng& rng) {
-  DPOAF_CHECK(m > 0);
-  obs::Span span("generation", obs::histogram("lm.sample_responses_ns"));
-  static obs::Counter& responses = obs::counter("lm.responses");
-  static obs::Counter& tokens = obs::counter("lm.generated_tokens");
-  static obs::Counter& truncations = obs::counter("lm.truncated_responses");
-  const std::vector<int> prompt = encode_prompt(tok, task_prompt);
-  std::vector<serve::GenerateRequest> requests(static_cast<std::size_t>(m));
-  for (serve::GenerateRequest& req : requests) {
-    req.prompt = prompt;
-    req.max_new_tokens = config.max_new_tokens;
-    req.temperature = config.temperature;
-    req.top_k = config.top_k;
-    req.eos_id = tok.eos();
-    req.seed = rng();  // serial draws fix every stream before submission
-  }
-  const auto results = service.generate_all(requests);
-  SampledResponses out;
-  out.texts.reserve(results.size());
-  out.truncated.reserve(results.size());
-  for (const serve::GenerateResult& r : results) {
-    responses.add();
-    tokens.add(r.ids.size());
-    if (r.truncated) truncations.add();
-    out.texts.push_back(tok.decode(r.ids));
-    out.truncated.push_back(r.truncated);
-  }
-  return out;
-}
-
-std::string greedy_response_served(serve::GenerationService& service,
-                                   const Tokenizer& tok,
-                                   const std::string& task_prompt,
-                                   int max_new_tokens, bool* truncated) {
-  obs::Span span("generation");
-  static obs::Counter& responses = obs::counter("lm.responses");
-  static obs::Counter& tokens = obs::counter("lm.generated_tokens");
-  serve::GenerateRequest req;
-  req.prompt = encode_prompt(tok, task_prompt);
-  req.max_new_tokens = max_new_tokens;
-  req.greedy = true;
-  req.eos_id = tok.eos();
-  serve::GenerateResult r = service.submit(std::move(req)).result.get();
-  responses.add();
-  tokens.add(r.ids.size());
-  if (truncated != nullptr) *truncated = r.truncated;
-  return tok.decode(r.ids);
-}
-
 std::string greedy_response(const TinyGpt& model, const Tokenizer& tok,
                             const std::string& task_prompt,
                             int max_new_tokens, bool* truncated) {

@@ -13,7 +13,6 @@
 
 #include "lm/corpus.hpp"
 #include "nn/gpt.hpp"
-#include "serve/service.hpp"
 
 namespace dpoaf::lm {
 
@@ -98,27 +97,5 @@ std::string greedy_response(const TinyGpt& model, const Tokenizer& tok,
                             const std::string& task_prompt,
                             int max_new_tokens = 72,
                             bool* truncated = nullptr);
-
-/// Sample m responses through a continuous-batching service instead of the
-/// serial decode loop above. Per-request seeds are drawn serially from
-/// `rng` before submission, so with a deterministic service the result is
-/// a pure function of (model weights, service seed, rng state) — identical
-/// at any slot count, thread count, or arrival interleaving. The sampling
-/// stream differs from sample_responses (which threads one RNG through
-/// consecutive decodes), so served and direct runs are two distinct, each
-/// internally reproducible, experiments.
-SampledResponses sample_responses_served(serve::GenerationService& service,
-                                         const Tokenizer& tok,
-                                         const std::string& task_prompt,
-                                         int m, const SamplerConfig& config,
-                                         Rng& rng);
-
-/// greedy_response through a service (greedy needs no RNG, so this is
-/// bitwise-identical to the direct path).
-std::string greedy_response_served(serve::GenerationService& service,
-                                   const Tokenizer& tok,
-                                   const std::string& task_prompt,
-                                   int max_new_tokens = 72,
-                                   bool* truncated = nullptr);
 
 }  // namespace dpoaf::lm

@@ -327,15 +327,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PropertySweep, ::testing::Range(0, 40));
 // metric, at any thread count. This is the contract that makes the
 // memoized scoring hot path safe to ship enabled by default.
 
-core::RunResult run_micro_pipeline(int threads, bool caches_on,
-                                   bool observability = false,
-                                   bool streaming = true) {
-  modelcheck::clear_buchi_cache();
-  modelcheck::set_buchi_cache_enabled(caches_on);
+core::PipelineConfig micro_pipeline_config(int threads, bool caches_on,
+                                          bool observability) {
   core::PipelineConfig cfg;
   cfg.seed = 23;
   cfg.threads = threads;
-  cfg.streaming = streaming;
   cfg.feedback_cache = caches_on;
   cfg.observability = observability;
   cfg.d_model = 16;
@@ -351,7 +347,16 @@ core::RunResult run_micro_pipeline(int threads, bool caches_on,
   cfg.dpo.lora_rank = 2;
   cfg.eval_samples_per_task = 2;
   cfg.eval_max_new_tokens = 24;
-  core::DpoAfPipeline pipe(cfg);
+  return cfg;
+}
+
+// The explicit stage composition: pre-train, collect, rank, DPO.
+core::RunResult run_micro_pipeline(int threads, bool caches_on,
+                                   bool observability = false) {
+  modelcheck::clear_buchi_cache();
+  modelcheck::set_buchi_cache_enabled(caches_on);
+  core::DpoAfPipeline pipe(
+      micro_pipeline_config(threads, caches_on, observability));
   pipe.pretrain_model();
   auto result = pipe.run_dpo(pipe.build_pairs(pipe.collect_candidates()));
   modelcheck::set_buchi_cache_enabled(true);
@@ -419,24 +424,23 @@ TEST(FeedbackCacheProperty, CachedRunsIdenticalAcrossThreadCounts) {
   expect_identical_metrics(serial, parallel);
 }
 
-// ------------------------------- streaming dataflow equivalence --------
+// ------------------------------- run() is the stage composition -------
 //
-// The streaming pipeline (docs/PIPELINE.md) is a scheduling change only:
-// sequence-numbered reassembly restores the phased pipeline's serial
-// consumption order, so every metric must be bitwise-identical across
-// {streaming, phased} × {1, 4 threads}. (The CI matrix runs this suite
-// under both tensor backends, completing the ISSUE-9 proof grid.)
+// run() is exactly run_dpo(build_pairs(collect_candidates())) after
+// pre-training: one collection path, one pair builder. Its whole RunResult
+// must equal the explicit composition at 1 and 4 threads. (The CI matrix
+// runs this suite under both tensor backends.)
 
-TEST(StreamingProperty, StreamingRunBitwiseEqualsPhasedAcrossThreadCounts) {
-  const auto phased_serial = run_micro_pipeline(1, true, false, false);
-  const auto phased_parallel = run_micro_pipeline(4, true, false, false);
-  const auto streaming_serial = run_micro_pipeline(1, true, false, true);
-  const auto streaming_parallel = run_micro_pipeline(4, true, false, true);
-  expect_identical_metrics(phased_serial, streaming_serial);
-  expect_identical_metrics(phased_serial, streaming_parallel);
-  expect_identical_metrics(phased_serial, phased_parallel);
-  EXPECT_EQ(phased_serial.pair_count, streaming_serial.pair_count);
-  EXPECT_EQ(phased_serial.pair_count, streaming_parallel.pair_count);
+TEST(PipelineProperty, RunBitwiseEqualsStageCompositionAcrossThreadCounts) {
+  const auto composed = run_micro_pipeline(1, true);
+  for (const int threads : {1, 4}) {
+    modelcheck::clear_buchi_cache();
+    core::DpoAfPipeline pipe(micro_pipeline_config(threads, true, false));
+    const auto result = pipe.run();
+    util::set_global_threads(1);
+    expect_identical_metrics(composed, result);
+    EXPECT_EQ(composed.pair_count, result.pair_count);
+  }
 }
 
 // ------------------------------- observability transparency ------------
