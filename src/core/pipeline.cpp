@@ -279,14 +279,13 @@ void DpoAfPipeline::stream_scored_responses(
     std::size_t task = 0;
     serve::Submission submission;
   };
+  const serve::ServiceConfig serve_config = make_serve_config(config_);
   std::unique_ptr<dataflow::Channel<Inflight>> inflight;
   std::unique_ptr<serve::GenerationService> service;
   if (source == SampleSource::kServe) {
     inflight = std::make_unique<dataflow::Channel<Inflight>>(
         capacity, "pipeline.inflight");
-    service =
-        std::make_unique<serve::GenerationService>(model,
-                                                   make_serve_config(config_));
+    service = std::make_unique<serve::GenerationService>(model, serve_config);
   }
 
   dataflow::StageSet stages([&] {
@@ -344,7 +343,11 @@ void DpoAfPipeline::stream_scored_responses(
   } else {
     // Direct / catalog sampler: workers claim whole tasks (each task's
     // RNG stream is private, so the claim order is irrelevant) and decode
-    // serially — the worker count is the stage's parallelism.
+    // serially — the worker count is the stage's parallelism. Each sample
+    // follows the serve path's seed contract: a request seed drawn
+    // serially from the task RNG, decoded with request_rng(service seed,
+    // request seed). The service emits exactly model.generate's tokens
+    // for that RNG, so direct and served runs are bitwise-equal.
     const int gen_workers =
         source == SampleSource::kCatalog
             ? 1
@@ -368,9 +371,10 @@ void DpoAfPipeline::stream_scored_responses(
                   lm::encode_prompt(tokenizer_, tasks[u]->prompt);
               for (int s = 0; s < counts[u]; ++s) {
                 obs::Span span("generation", gen_hist);
+                Rng rng = serve::request_rng(serve_config.seed, task_rngs[u]());
                 const auto gen = model.generate(
                     prompt, sampler.max_new_tokens, sampler.temperature,
-                    sampler.top_k, tokenizer_.eos(), task_rngs[u]);
+                    sampler.top_k, tokenizer_.eos(), rng);
                 responses.add();
                 tokens.add(gen.ids.size());
                 if (gen.truncated) truncations.add();
@@ -577,8 +581,9 @@ GeneralizationEval DpoAfPipeline::evaluate_generalization() const {
   std::vector<TaskScore> scores(tasks.size());
   const std::vector<int> counts(tasks.size(), config_.eval_samples_per_task);
   stream_scored_responses(
-      tasks, counts, model_, eval_sampler(config_), SampleSource::kDirect,
-      task_rngs, [&](ScoredItem&& item) {
+      tasks, counts, model_, eval_sampler(config_),
+      config_.serve ? SampleSource::kServe : SampleSource::kDirect, task_rngs,
+      [&](ScoredItem&& item) {
         const std::size_t u = item.task_index;
         const int score = item.candidate.score;
         TaskScore& s = scores[u];

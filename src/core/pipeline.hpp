@@ -66,13 +66,13 @@ struct PipelineConfig {
   /// the paper's unlimited automated feedback makes the candidate source
   /// interchangeable).
   bool candidates_from_catalog = false;
-  /// Route candidate sampling and checkpoint evaluation through the
-  /// continuous-batching generation service (src/serve) in deterministic
-  /// mode: per-request seeds are drawn serially from the same task-RNG
-  /// splits, so results are reproducible at any serve_slots/threads
-  /// setting. The sampling stream differs from the direct decode loop, so
-  /// serve on/off are two distinct (each bitwise-reproducible)
-  /// experiments. See docs/SERVING.md.
+  /// Decode candidates and evaluation samples on the continuous-batching
+  /// generation service (src/serve, deterministic mode) instead of one
+  /// decode loop per task. Both samplers draw one request seed per sample
+  /// serially from the task-RNG splits and decode it with
+  /// serve::request_rng, so serve on and off give bitwise-equal results
+  /// at any serve_slots/threads setting: this is a scheduling knob, not an
+  /// experiment axis. See docs/SERVING.md.
   bool serve = false;
   /// Concurrent decode slots when serve is enabled.
   int serve_slots = 8;

@@ -199,10 +199,6 @@ core::PipelineConfig micro_config(int threads, bool catalog, bool serve) {
   cfg.serve_slots = 4;
   cfg.responses_per_task = 3;
   cfg.sampler.max_new_tokens = 24;
-  cfg.dpo.epochs = 2;
-  cfg.dpo.checkpoint_every = 2;
-  cfg.dpo.pairs_per_epoch = 8;
-  cfg.dpo.lora_rank = 2;
   cfg.eval_samples_per_task = 2;
   cfg.eval_max_new_tokens = 24;
   return cfg;
@@ -240,6 +236,92 @@ TEST(CollectionDeterminism, SampledCandidatesIdenticalAcrossThreads) {
   const auto serial = collect(micro_config(1, false, false));
   ASSERT_FALSE(serial.empty());
   expect_same_candidates(serial, collect(micro_config(4, false, false)));
+}
+
+// ----------------------------------------------------- served ≡ direct ----
+//
+// Direct decoding follows the serve path's per-request seed contract, so
+// PipelineConfig::serve only changes scheduling: every sampled result must
+// be bitwise-equal with serve on and off, at 1 and 4 threads.
+
+// Runs `use` on a freshly pre-trained pipeline whose domain holds one
+// held-out generated scenario (so evaluate_generalization has both
+// populations to score).
+template <typename Use>
+auto on_pretrained(int threads, bool serve, Use use) {
+  auto cfg = micro_config(threads, false, serve);
+  cfg.generated_scenarios = 2;
+  cfg.holdout_scenarios = 1;
+  core::DpoAfPipeline pipe(cfg);
+  pipe.pretrain_model();
+  auto out = use(pipe);
+  util::set_global_threads(1);
+  return out;
+}
+
+// Direct at 1 thread is the reference; served at 1 and 4 threads and
+// direct at 4 threads must reproduce it.
+template <typename Use, typename Expect>
+void expect_served_equals_direct(Use use, Expect expect_same) {
+  const auto reference = on_pretrained(1, false, use);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_same(reference, on_pretrained(threads, true, use));
+    if (threads > 1) expect_same(reference, on_pretrained(threads, false, use));
+  }
+}
+
+TEST(ServedEqualsDirect, CollectCandidates) {
+  expect_served_equals_direct(
+      [](core::DpoAfPipeline& pipe) {
+        auto out = pipe.collect_candidates();
+        EXPECT_FALSE(out.empty());
+        return out;
+      },
+      expect_same_candidates);
+}
+
+TEST(ServedEqualsDirect, EvaluateModel) {
+  expect_served_equals_direct(
+      [](core::DpoAfPipeline& pipe) {
+        return pipe.evaluate_model(pipe.model(), 3);
+      },
+      [](const core::CheckpointEval& a, const core::CheckpointEval& b) {
+        EXPECT_EQ(a.epoch, b.epoch);
+        EXPECT_EQ(a.train_mean_satisfied, b.train_mean_satisfied);
+        EXPECT_EQ(a.val_mean_satisfied, b.val_mean_satisfied);
+        EXPECT_EQ(a.train_alignment_failure_rate,
+                  b.train_alignment_failure_rate);
+        EXPECT_EQ(a.val_alignment_failure_rate, b.val_alignment_failure_rate);
+        EXPECT_EQ(a.truncated_responses, b.truncated_responses);
+        EXPECT_EQ(a.per_task, b.per_task);
+        EXPECT_EQ(a.per_task_alignment_failure, b.per_task_alignment_failure);
+      });
+}
+
+TEST(ServedEqualsDirect, EvaluateGeneralizationWithHoldout) {
+  expect_served_equals_direct(
+      [](core::DpoAfPipeline& pipe) {
+        auto out = pipe.evaluate_generalization();
+        EXPECT_GT(out.holdout_tasks, 0);
+        return out;
+      },
+      [](const core::GeneralizationEval& a,
+         const core::GeneralizationEval& b) {
+        EXPECT_EQ(a.train_tasks, b.train_tasks);
+        EXPECT_EQ(a.holdout_tasks, b.holdout_tasks);
+        EXPECT_EQ(a.train_mean_satisfied_fraction,
+                  b.train_mean_satisfied_fraction);
+        EXPECT_EQ(a.holdout_mean_satisfied_fraction,
+                  b.holdout_mean_satisfied_fraction);
+        EXPECT_EQ(a.train_alignment_failure_rate,
+                  b.train_alignment_failure_rate);
+        EXPECT_EQ(a.holdout_alignment_failure_rate,
+                  b.holdout_alignment_failure_rate);
+        EXPECT_EQ(a.train_violation_rate, b.train_violation_rate);
+        EXPECT_EQ(a.holdout_violation_rate, b.holdout_violation_rate);
+        EXPECT_EQ(a.per_holdout_task, b.per_holdout_task);
+      });
 }
 
 }  // namespace
