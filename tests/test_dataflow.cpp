@@ -324,5 +324,46 @@ TEST(ServedEqualsDirect, EvaluateGeneralizationWithHoldout) {
       });
 }
 
+// ------------------------------------- full run ≡ phased stages ----
+//
+// run() (collection streamed through the bounded stage queues) must
+// produce the same RunResult — DPO metric history included — as calling
+// pretrain_model, collect_candidates, build_pairs and run_dpo one at a
+// time at 1 thread.
+
+TEST(StreamingEquivalence, FullRunIdenticalToPhased) {
+  const auto phased = [] {
+    core::DpoAfPipeline pipe(micro_config(1, true, false));
+    pipe.pretrain_model();
+    auto result = pipe.run_dpo(pipe.build_pairs(pipe.collect_candidates()));
+    util::set_global_threads(1);
+    return result;
+  }();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    core::DpoAfPipeline pipe(micro_config(threads, true, false));
+    const auto other = pipe.run();
+    util::set_global_threads(1);
+    EXPECT_GT(other.pair_count, 0u);
+    EXPECT_EQ(phased.pair_count, other.pair_count);
+    ASSERT_EQ(phased.metrics.size(), other.metrics.size());
+    for (std::size_t i = 0; i < phased.metrics.size(); ++i) {
+      EXPECT_EQ(phased.metrics[i].loss, other.metrics[i].loss);
+      EXPECT_EQ(phased.metrics[i].accuracy, other.metrics[i].accuracy);
+      EXPECT_EQ(phased.metrics[i].margin, other.metrics[i].margin);
+      EXPECT_EQ(phased.metrics[i].kl, other.metrics[i].kl);
+    }
+    ASSERT_EQ(phased.checkpoints.size(), other.checkpoints.size());
+    for (std::size_t i = 0; i < phased.checkpoints.size(); ++i) {
+      EXPECT_EQ(phased.checkpoints[i].train_mean_satisfied,
+                other.checkpoints[i].train_mean_satisfied);
+      EXPECT_EQ(phased.checkpoints[i].val_mean_satisfied,
+                other.checkpoints[i].val_mean_satisfied);
+      EXPECT_EQ(phased.checkpoints[i].truncated_responses,
+                other.checkpoints[i].truncated_responses);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dpoaf

@@ -424,14 +424,15 @@ TEST(FeedbackCacheProperty, CachedRunsIdenticalAcrossThreadCounts) {
   expect_identical_metrics(serial, parallel);
 }
 
-// ------------------------------- run() is the stage composition -------
+// ------------------------------- streaming run ≡ phased stages --------
 //
-// run() is exactly run_dpo(build_pairs(collect_candidates())) after
-// pre-training: one collection path, one pair builder. Its whole RunResult
-// must equal the explicit composition at 1 and 4 threads. (The CI matrix
-// runs this suite under both tensor backends.)
+// run() streams candidates through the dataflow and is exactly
+// run_dpo(build_pairs(collect_candidates())) after pre-training: one
+// collection path, one pair builder. Its whole RunResult must equal the
+// phased composition (each stage called on its own) at 1 and 4 threads.
+// (The CI matrix runs this suite under both tensor backends.)
 
-TEST(PipelineProperty, RunBitwiseEqualsStageCompositionAcrossThreadCounts) {
+TEST(StreamingProperty, StreamingRunBitwiseEqualsPhasedAcrossThreadCounts) {
   const auto composed = run_micro_pipeline(1, true);
   for (const int threads : {1, 4}) {
     modelcheck::clear_buchi_cache();
