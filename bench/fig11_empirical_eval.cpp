@@ -18,6 +18,7 @@
 
 #include "bench_common.hpp"
 #include "core/pipeline.hpp"
+#include "serve/service.hpp"
 #include "sim/empirical.hpp"
 #include "util/table.hpp"
 
@@ -26,24 +27,37 @@ namespace {
 using namespace dpoaf;
 
 // Sample responses from `model`, build controllers for every parseable
-// one, roll each out in its task's scenario, and aggregate P_Φ per spec.
+// one, roll each out in its task's scenario, and aggregate P_Phi per spec.
+// Sampling follows the pipeline's per-request seed contract: each sample
+// draws a request seed from `rng` and decodes with
+// serve::request_rng(service_seed, request seed).
 std::map<std::string, double> evaluate_in_system(
     const core::DpoAfPipeline& pipe, const nn::TinyGpt& model,
     const std::vector<modelcheck::NamedSpec>& specs, int samples_per_task,
-    int rollouts_per_ctrl, int horizon, Rng& rng) {
+    int rollouts_per_ctrl, int horizon, std::uint64_t service_seed,
+    Rng& rng) {
   std::map<std::string, double> prob_sum;
   std::map<std::string, int> prob_n;
 
   lm::SamplerConfig sampler;  // library defaults
+  const lm::Tokenizer& tok = pipe.tokenizer();
   for (const auto& task : pipe.domain().tasks()) {
     sim::SimulatorConfig sim_cfg;
     sim_cfg.horizon = horizon;
     sim_cfg.epsilon_label = pipe.domain().stop_action();
     sim::Simulator simulator(pipe.domain().model(task.scenario), sim_cfg);
 
-    const auto responses = lm::sample_responses(
-        model, pipe.tokenizer(), task.prompt, samples_per_task, sampler, rng);
-    for (const auto& response : responses.texts) {
+    const std::vector<int> prompt = lm::encode_prompt(tok, task.prompt);
+    std::vector<std::string> responses;
+    for (int s = 0; s < samples_per_task; ++s) {
+      Rng request = serve::request_rng(service_seed, rng());
+      responses.push_back(tok.decode(
+          model
+              .generate(prompt, sampler.max_new_tokens, sampler.temperature,
+                        sampler.top_k, tok.eos(), request)
+              .ids));
+    }
+    for (const auto& response : responses) {
       auto g2f = glm2fsa::glm2fsa(response, pipe.domain().aligner(),
                                   pipe.domain().build_options());
       if (!g2f.parsed.ok()) {
@@ -97,10 +111,12 @@ int main(int argc, char** argv) {
   Rng rng_before(101), rng_after(101);
   std::cerr << "[operating pre-fine-tuning controllers in the simulator]\n";
   const auto p_before = evaluate_in_system(pipe, before, specs, samples,
-                                           rollouts, horizon, rng_before);
+                                           rollouts, horizon, cfg.seed,
+                                           rng_before);
   std::cerr << "[operating fine-tuned controllers in the simulator]\n";
   const auto p_after = evaluate_in_system(pipe, after, specs, samples,
-                                          rollouts, horizon, rng_after);
+                                          rollouts, horizon, cfg.seed,
+                                          rng_after);
 
   std::cout << "Figure 11 — P_Phi during actual operation in the simulated "
                "system (" << rollouts << " rollouts per controller, horizon "

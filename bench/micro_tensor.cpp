@@ -1,14 +1,15 @@
 // Micro-benchmarks (google-benchmark): the tensor/autograd substrate that
-// carries pre-training and DPO — matmul, softmax, layer-norm throughput,
-// and a full TinyGpt forward/backward step at the pipeline's default size.
+// carries pre-training and DPO — matmul, GELU, causal attention and
+// layer-norm throughput, and a full TinyGpt forward/backward step at the
+// pipeline's default size.
 //
-// The matmul and GPT benches are parameterized over the compute backends
-// (docs/BACKENDS.md): each backend row first asserts output equivalence
-// against the scalar reference (within float tolerance) and only then
-// times, so a kernel that drifts numerically can never post a throughput
-// number. CI's bench-regression job runs the BM_Matmul sweep under
-// --benchmark_out and gates on the simd:scalar GFLOP/s ratio
-// (scripts/check_bench_regression.py).
+// The matmul, GELU, attention and GPT benches are parameterized over the
+// compute backends (docs/BACKENDS.md): each backend row first asserts
+// output equivalence against the scalar reference (within float
+// tolerance) and only then times, so a kernel that drifts numerically can
+// never post a throughput number. CI's bench-regression job runs the
+// BM_Matmul and BM_Gelu rows under --benchmark_out and gates on their
+// simd:scalar throughput ratios (scripts/check_bench_regression.py).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -144,11 +145,14 @@ void matmul_backward_threads_bench(benchmark::State& state,
   backend::select("");
 }
 
+// The causal softmax lives inside ops::causal_attention; this row times
+// that op's forward at 64 positions (d = 48, 4 heads) on the active
+// backend.
 void BM_SoftmaxRows(benchmark::State& state) {
   Rng rng(2);
-  Tensor x = Tensor::randn({64, 64}, rng);
+  Tensor qkv = Tensor::randn({64, 3 * 48}, rng);
   for (auto _ : state) {
-    Tensor y = ops::causal_softmax_rows(nullptr, x);
+    Tensor y = ops::causal_attention(nullptr, qkv, 4);
     benchmark::DoNotOptimize(y.data());
   }
 }
@@ -165,6 +169,91 @@ void BM_LayerNorm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LayerNorm);
+
+// The shapes a seed-1 finetune_paper run trains on: vocab 76, max_seq 84,
+// mean sequence length 45, d_model 48, 4 heads, d_ff 192. A DPO minibatch
+// of 8 pairs runs 16 sequences.
+constexpr std::int64_t kSeqLen = 45;
+constexpr std::int64_t kDModel = 48;
+constexpr std::int64_t kHeads = 4;
+constexpr std::int64_t kDff = 192;
+
+// GELU forward + backward over one minibatch's MLP activations
+// [16·45, 192], through the backend kernels on one thread. Counter
+// elem/s: elements through forward and backward per second.
+void gelu_bench(benchmark::State& state, const std::string& be) {
+  if (!backend_available(be)) {
+    state.SkipWithError("simd backend not supported on this CPU/build");
+    return;
+  }
+  util::set_global_threads(1);
+  Rng rng(7);
+  Tensor x = Tensor::randn({16 * kSeqLen, kDff}, rng, 2.0f);
+  Tensor gy = Tensor::randn(x.shape(), rng);
+  const std::int64_t n = x.numel();
+  auto run = [&](const backend::ComputeBackend& kernels, Tensor& y,
+                 Tensor& gx) {
+    kernels.gelu_fwd(x.data(), y.data(), 0, n);
+    kernels.gelu_bwd(x.data(), gy.data(), gx.data(), 0, n);
+  };
+  Tensor y = Tensor::zeros(x.shape()), gx = Tensor::zeros(x.shape());
+  Tensor ref_y = Tensor::zeros(x.shape()), ref_gx = Tensor::zeros(x.shape());
+  run(backend::scalar_backend(), ref_y, ref_gx);
+  backend::select(be);
+  const backend::ComputeBackend& kernels = backend::active();
+  run(kernels, y, gx);
+  if (!check_equivalent(state, y, ref_y, "gelu") ||
+      !check_equivalent(state, gx, ref_gx, "gelu gradient"))
+    return;
+  for (auto _ : state) {
+    run(kernels, y, gx);
+    benchmark::DoNotOptimize(gx.data());
+  }
+  backend::select("");
+  state.counters["elem/s"] = benchmark::Counter(
+      static_cast<double>(2 * n) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
+// One sequence's attention core, forward + backward through
+// ops::causal_attention at T = 45, d = 48, 4 heads, one thread.
+void causal_attention_bench(benchmark::State& state, const std::string& be) {
+  if (!backend_available(be)) {
+    state.SkipWithError("simd backend not supported on this CPU/build");
+    return;
+  }
+  util::set_global_threads(1);
+  Rng rng(8);
+  Tensor qkv =
+      Tensor::randn({kSeqLen, 3 * kDModel}, rng).set_requires_grad(true);
+  Tensor w = Tensor::randn({kSeqLen, kDModel}, rng);
+  // Forward + backward; returns the output, leaves the gradient in qkv.
+  auto step = [&] {
+    qkv.zero_grad();
+    Tape tape;
+    Tensor out = ops::causal_attention(&tape, qkv, kHeads);
+    tape.backward(ops::sum(&tape, ops::mul(&tape, out, w)));
+    return out;
+  };
+  auto grad_copy = [&] {
+    return Tensor::from(qkv.shape(), std::vector<float>(
+                                         qkv.grad(), qkv.grad() + qkv.numel()));
+  };
+  backend::select("scalar");
+  const Tensor ref = step();
+  const Tensor ref_grad = grad_copy();
+  backend::select(be);
+  if (!check_equivalent(state, step(), ref, "attention") ||
+      !check_equivalent(state, grad_copy(), ref_grad, "attention qkv grad"))
+    return;
+  for (auto _ : state) {
+    Tensor out = step();
+    benchmark::DoNotOptimize(out.data());
+  }
+  backend::select("");
+  state.counters["seq/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
 
 nn::TinyGpt& pipeline_sized_model() {
   static nn::TinyGpt model = [] {
@@ -254,6 +343,12 @@ void register_backend_benches() {
         ->Arg(2)
         ->Arg(4)
         ->ArgName("threads");
+    benchmark::RegisterBenchmark(
+        ("BM_Gelu/" + name).c_str(),
+        [name](benchmark::State& s) { gelu_bench(s, name); });
+    benchmark::RegisterBenchmark(
+        ("BM_CausalAttention/" + name).c_str(),
+        [name](benchmark::State& s) { causal_attention_bench(s, name); });
     benchmark::RegisterBenchmark(
         ("BM_GptForward/" + name).c_str(),
         [name](benchmark::State& s) { gpt_forward_bench(s, name); });

@@ -93,33 +93,6 @@ PretrainStats pretrain(TinyGpt& model,
   return stats;
 }
 
-SampledResponses sample_responses(const TinyGpt& model, const Tokenizer& tok,
-                                  const std::string& task_prompt, int m,
-                                  const SamplerConfig& config, Rng& rng) {
-  DPOAF_CHECK(m > 0);
-  // "generation" is one of the five pipeline phases in the RunReport; every
-  // sampled batch of m responses is one span (plus per-response counters).
-  obs::Span span("generation", obs::histogram("lm.sample_responses_ns"));
-  static obs::Counter& responses = obs::counter("lm.responses");
-  static obs::Counter& tokens = obs::counter("lm.generated_tokens");
-  static obs::Counter& truncations = obs::counter("lm.truncated_responses");
-  const std::vector<int> prompt = encode_prompt(tok, task_prompt);
-  SampledResponses out;
-  out.texts.reserve(static_cast<std::size_t>(m));
-  out.truncated.reserve(static_cast<std::size_t>(m));
-  for (int s = 0; s < m; ++s) {
-    const auto gen =
-        model.generate(prompt, config.max_new_tokens, config.temperature,
-                       config.top_k, tok.eos(), rng);
-    responses.add();
-    tokens.add(gen.ids.size());
-    if (gen.truncated) truncations.add();
-    out.texts.push_back(tok.decode(gen.ids));
-    out.truncated.push_back(gen.truncated);
-  }
-  return out;
-}
-
 std::string greedy_response(const TinyGpt& model, const Tokenizer& tok,
                             const std::string& task_prompt,
                             int max_new_tokens, bool* truncated) {

@@ -70,26 +70,6 @@ struct SamplerConfig {
   int top_k = 6;
 };
 
-/// Decoded response texts (the step lists, ready for GLM2FSA) plus which
-/// of them hit the model's context limit — truncated step lists usually
-/// fail alignment, and the caller must be able to tell that apart from a
-/// genuinely malformed response.
-struct SampledResponses {
-  std::vector<std::string> texts;
-  std::vector<bool> truncated;  // parallel to texts
-
-  [[nodiscard]] int truncated_count() const {
-    int n = 0;
-    for (const bool t : truncated) n += t ? 1 : 0;
-    return n;
-  }
-};
-
-/// Sample m responses for a task prompt.
-SampledResponses sample_responses(const TinyGpt& model, const Tokenizer& tok,
-                                  const std::string& task_prompt, int m,
-                                  const SamplerConfig& config, Rng& rng);
-
 /// Greedy (argmax) response for a task prompt — used to evaluate
 /// checkpoints (Figure 9). Sets *truncated (when given) if the response
 /// hit the context limit.

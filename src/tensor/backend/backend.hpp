@@ -1,10 +1,11 @@
 // Pluggable compute backends for the tensor hot paths (docs/BACKENDS.md).
 //
 // A ComputeBackend supplies the *chunk-level* kernels behind
-// tensor::ops — matmul forward/backward and the large elementwise/row
-// ops. ops.cpp keeps owning the thread-pool partitioning (fixed
-// contiguous ranges, util::parallel_for) and hands each chunk to the
-// active backend, so every backend composes with DPOAF_THREADS for free.
+// tensor::ops — matmul forward/backward, the large elementwise/row ops,
+// GELU, and causal multi-head attention. ops.cpp keeps owning the
+// thread-pool partitioning (fixed contiguous ranges, util::parallel_for)
+// and hands each chunk to the active backend, so every backend composes
+// with DPOAF_THREADS for free.
 //
 // Determinism contract:
 //  - Each backend must be bitwise-reproducible across thread counts: a
@@ -98,11 +99,39 @@ class ComputeBackend {
   virtual void ew_mul_acc(const float* a, const float* b, float* out,
                           std::int64_t i0, std::int64_t i1) const = 0;
 
+  /// out[i] = gelu(x[i]) = ½x(1 + tanh(√(2/π)(x + 0.044715x³))). x and
+  /// out may alias (the KV decoder applies it in place).
+  virtual void gelu_fwd(const float* x, float* out, std::int64_t i0,
+                        std::int64_t i1) const = 0;
+  /// gx[i] += gy[i] · gelu′(x[i])
+  virtual void gelu_bwd(const float* x, const float* gy, float* gx,
+                        std::int64_t i0, std::int64_t i1) const = 0;
+
   // ---- row ops ------------------------------------------------------
   /// Rows [i0, i1): out[i,:] = x[i,:] + bias[:], bias is [1,N].
   virtual void row_bias_add(const float* x, const float* bias, float* out,
                             std::int64_t n, std::int64_t i0,
                             std::int64_t i1) const = 0;
+
+  // ---- causal multi-head attention over heads [h0, h1) --------------
+  // qkv is [T, 3d] (columns: all query heads, then keys, then values;
+  // head h owns columns [h·dh, (h+1)·dh) of each third, dh = d / heads).
+  // probs is [heads, T, T], row i of head h holding softmax weights over
+  // keys j ≤ i and exact zeros for j > i. A head touches only its own
+  // columns and its own probs plane, so any head partition is race-free.
+  /// out[i, head cols] = Σ_{j≤i} probs[h,i,j] · v[j], with probs[h,i,:] =
+  /// softmax_{j≤i}(q[i]·k[j] / √dh). out is [T, d]; writes every entry of
+  /// the heads' probs planes.
+  virtual void attention_fwd(const float* qkv, float* out, float* probs,
+                             std::int64_t t, std::int64_t d,
+                             std::int64_t n_heads, std::int64_t h0,
+                             std::int64_t h1) const = 0;
+  /// Accumulates the heads' q, k and v gradients into gqkv [T, 3d] from
+  /// gout [T, d] and the forward's probs.
+  virtual void attention_bwd(const float* qkv, const float* probs,
+                             const float* gout, float* gqkv, std::int64_t t,
+                             std::int64_t d, std::int64_t n_heads,
+                             std::int64_t h0, std::int64_t h1) const = 0;
 
  private:
   const char* name_;

@@ -249,35 +249,25 @@ Tensor scale(Tape* tape, const Tensor& a, float s) {
 }
 
 Tensor gelu(Tape* tape, const Tensor& a) {
-  constexpr float kC = 0.7978845608028654f;  // √(2/π)
   Tensor c = Tensor::zeros(a.shape());
-  // tanh is expensive relative to a flop; use a finer grain so mid-sized
+  const backend::ComputeBackend& be = backend::active();
+  // GELU costs a tanh per element; use a finer grain so mid-sized
   // activations still fan out.
   util::parallel_for(0, a.numel(), kGrainFlops / 16,
                      [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float x = a.data()[i];
-      const float t = std::tanh(kC * (x + 0.044715f * x * x * x));
-      c.data()[i] = 0.5f * x * (1.0f + t);
-    }
+    be.gelu_fwd(a.data(), c.data(), i0, i1);
   });
   if (track(tape, {&a})) {
     c.set_requires_grad(true);
     Tensor at = a, ct = c;
     tape->record([at, ct]() mutable {
       if (!at.requires_grad()) return;
+      const backend::ComputeBackend& be = backend::active();
       float* ga = at.grad();
       const float* gc = ct.grad();
       util::parallel_for(0, at.numel(), kGrainFlops / 16,
                          [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const float x = at.data()[i];
-          const float u = kC * (x + 0.044715f * x * x * x);
-          const float t = std::tanh(u);
-          const float du = kC * (1.0f + 3.0f * 0.044715f * x * x);
-          const float d = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-          ga[i] += gc[i] * d;
-        }
+        be.gelu_bwd(at.data(), gc, ga, i0, i1);
       });
     });
   }
@@ -363,36 +353,30 @@ Tensor layer_norm(Tape* tape, const Tensor& x, const Tensor& gamma,
   return y;
 }
 
-namespace {
-
-// Shared forward for (masked) row softmax; `limit(i)` gives the exclusive
-// column bound for row i.
-template <typename Limit>
-Tensor softmax_impl(Tape* tape, const Tensor& x, Limit limit) {
+Tensor softmax_rows(Tape* tape, const Tensor& x) {
   const std::int64_t m = x.rows(), n = x.cols();
   Tensor y = Tensor::zeros(x.shape());
   // Row partition: each row's max/sum reduction is confined to one chunk.
   util::parallel_for(0, m, row_grain(4 * n),
                      [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
-      const std::int64_t lim = limit(i);
       const float* xr = x.data() + i * n;
       float* yr = y.data() + i * n;
       float mx = -1e30f;
-      for (std::int64_t j = 0; j < lim; ++j) mx = std::max(mx, xr[j]);
+      for (std::int64_t j = 0; j < n; ++j) mx = std::max(mx, xr[j]);
       float z = 0.0f;
-      for (std::int64_t j = 0; j < lim; ++j) {
+      for (std::int64_t j = 0; j < n; ++j) {
         yr[j] = std::exp(xr[j] - mx);
         z += yr[j];
       }
       const float inv = 1.0f / z;
-      for (std::int64_t j = 0; j < lim; ++j) yr[j] *= inv;
+      for (std::int64_t j = 0; j < n; ++j) yr[j] *= inv;
     }
   });
   if (track(tape, {&x})) {
     y.set_requires_grad(true);
     Tensor xt = x, yt = y;
-    tape->record([xt, yt, limit]() mutable {
+    tape->record([xt, yt]() mutable {
       if (!xt.requires_grad()) return;
       const std::int64_t m = xt.rows(), n = xt.cols();
       const float* gy = yt.grad();
@@ -400,32 +384,17 @@ Tensor softmax_impl(Tape* tape, const Tensor& x, Limit limit) {
       util::parallel_for(0, m, row_grain(4 * n),
                          [&](std::int64_t i0, std::int64_t i1) {
         for (std::int64_t i = i0; i < i1; ++i) {
-          const std::int64_t lim = limit(i);
           const float* yr = yt.data() + i * n;
           const float* gyr = gy + i * n;
           float dot = 0.0f;
-          for (std::int64_t j = 0; j < lim; ++j) dot += gyr[j] * yr[j];
-          for (std::int64_t j = 0; j < lim; ++j)
+          for (std::int64_t j = 0; j < n; ++j) dot += gyr[j] * yr[j];
+          for (std::int64_t j = 0; j < n; ++j)
             gx[i * n + j] += yr[j] * (gyr[j] - dot);
         }
       });
     });
   }
   return y;
-}
-
-}  // namespace
-
-Tensor softmax_rows(Tape* tape, const Tensor& x) {
-  const std::int64_t n = x.cols();
-  return softmax_impl(tape, x, [n](std::int64_t) { return n; });
-}
-
-Tensor causal_softmax_rows(Tape* tape, const Tensor& scores) {
-  DPOAF_CHECK_MSG(scores.rows() == scores.cols(),
-                  "causal softmax expects square score matrix");
-  return softmax_impl(tape, scores,
-                      [](std::int64_t i) { return i + 1; });
 }
 
 Tensor embedding(Tape* tape, const Tensor& table,
@@ -458,95 +427,42 @@ Tensor embedding(Tape* tape, const Tensor& table,
   return out;
 }
 
-Tensor slice_cols(Tape* tape, const Tensor& x, std::int64_t start,
-                  std::int64_t len) {
-  DPOAF_CHECK_MSG(start >= 0 && len > 0 && start + len <= x.cols(),
-                  "slice_cols: [" + std::to_string(start) + ", " +
-                      std::to_string(start + len) + ") out of range for " +
-                      shape_str(x.shape()));
-  const std::int64_t m = x.rows(), n = x.cols();
-  Tensor y = Tensor::zeros({m, len});
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t j = 0; j < len; ++j)
-      y.data()[i * len + j] = x.data()[i * n + start + j];
-  if (track(tape, {&x})) {
-    y.set_requires_grad(true);
-    Tensor xt = x, yt = y;
-    tape->record([xt, yt, start, len]() mutable {
+Tensor causal_attention(Tape* tape, const Tensor& qkv,
+                        std::int64_t n_heads) {
+  DPOAF_CHECK_MSG(n_heads > 0 && qkv.cols() % (3 * n_heads) == 0,
+                  "causal_attention: " + std::to_string(n_heads) +
+                      " heads do not split " + shape_str(qkv.shape()) +
+                      " into q|k|v");
+  const std::int64_t t = qkv.rows(), d = qkv.cols() / 3;
+  Tensor out = Tensor::zeros({t, d});
+  // Softmax weights per head, [heads, T, T]; the backward reads them.
+  std::vector<float> probs(static_cast<std::size_t>(n_heads * t * t));
+  // Head partition: a head's scores, softmax and weighted sums (and its
+  // gradient columns) are computed entirely inside one chunk.
+  const std::int64_t grain = row_grain(4 * t * t * (d / n_heads));
+  const backend::ComputeBackend& be = backend::active();
+  util::parallel_for(0, n_heads, grain, [&](std::int64_t h0, std::int64_t h1) {
+    be.attention_fwd(qkv.data(), out.data(), probs.data(), t, d, n_heads, h0,
+                     h1);
+  });
+  if (track(tape, {&qkv})) {
+    out.set_requires_grad(true);
+    Tensor xt = qkv, ot = out;
+    tape->record([xt, ot, probs = std::move(probs), n_heads, grain]() mutable {
       if (!xt.requires_grad()) return;
-      const std::int64_t m = xt.rows(), n = xt.cols();
-      float* gx = xt.grad();
-      const float* gy = yt.grad();
-      for (std::int64_t i = 0; i < m; ++i)
-        for (std::int64_t j = 0; j < len; ++j)
-          gx[i * n + start + j] += gy[i * len + j];
+      const std::int64_t t = xt.rows(), d = xt.cols() / 3;
+      const backend::ComputeBackend& be = backend::active();
+      // Fetched before fanning out: grad() allocates on first use.
+      const float* gout = ot.grad();
+      float* gqkv = xt.grad();
+      util::parallel_for(0, n_heads, grain,
+                         [&](std::int64_t h0, std::int64_t h1) {
+        be.attention_bwd(xt.data(), probs.data(), gout, gqkv, t, d, n_heads,
+                         h0, h1);
+      });
     });
   }
-  return y;
-}
-
-Tensor concat_cols(Tape* tape, const std::vector<Tensor>& parts) {
-  DPOAF_CHECK(!parts.empty());
-  const std::int64_t m = parts.front().rows();
-  std::int64_t n = 0;
-  for (const Tensor& p : parts) {
-    DPOAF_CHECK_MSG(p.rows() == m,
-                    shapes_msg("concat_cols: row mismatch",
-                               parts.front().shape(), p.shape()));
-    n += p.cols();
-  }
-  Tensor y = Tensor::zeros({m, n});
-  std::int64_t off = 0;
-  bool needs_grad = false;
-  for (const Tensor& p : parts) {
-    for (std::int64_t i = 0; i < m; ++i)
-      for (std::int64_t j = 0; j < p.cols(); ++j)
-        y.data()[i * n + off + j] = p.data()[i * p.cols() + j];
-    off += p.cols();
-    needs_grad = needs_grad || p.requires_grad();
-  }
-  if (tape != nullptr && needs_grad) {
-    y.set_requires_grad(true);
-    std::vector<Tensor> ps = parts;
-    Tensor yt = y;
-    tape->record([ps, yt]() mutable {
-      const std::int64_t m = yt.rows(), n = yt.cols();
-      const float* gy = yt.grad();
-      std::int64_t off = 0;
-      for (Tensor& p : ps) {
-        if (p.requires_grad()) {
-          float* gp = p.grad();
-          for (std::int64_t i = 0; i < m; ++i)
-            for (std::int64_t j = 0; j < p.cols(); ++j)
-              gp[i * p.cols() + j] += gy[i * n + off + j];
-        }
-        off += p.cols();
-      }
-    });
-  }
-  return y;
-}
-
-Tensor transpose(Tape* tape, const Tensor& x) {
-  const std::int64_t m = x.rows(), n = x.cols();
-  Tensor y = Tensor::zeros({n, m});
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t j = 0; j < n; ++j)
-      y.data()[j * m + i] = x.data()[i * n + j];
-  if (track(tape, {&x})) {
-    y.set_requires_grad(true);
-    Tensor xt = x, yt = y;
-    tape->record([xt, yt]() mutable {
-      if (!xt.requires_grad()) return;
-      const std::int64_t m = xt.rows(), n = xt.cols();
-      float* gx = xt.grad();
-      const float* gy = yt.grad();
-      for (std::int64_t i = 0; i < m; ++i)
-        for (std::int64_t j = 0; j < n; ++j)
-          gx[i * n + j] += gy[j * m + i];
-    });
-  }
-  return y;
+  return out;
 }
 
 Tensor sum(Tape* tape, const Tensor& x) {

@@ -37,23 +37,16 @@ Tensor layer_norm(Tape* tape, const Tensor& x, const Tensor& gamma,
 /// Row-wise softmax.
 Tensor softmax_rows(Tape* tape, const Tensor& x);
 
-/// Row-wise softmax over a causal mask: row i attends to columns j ≤ i
-/// only (entries j > i are exactly zero in the output).
-Tensor causal_softmax_rows(Tape* tape, const Tensor& scores);
+/// Causal multi-head self-attention, all heads in one op. qkv is [T, 3d]
+/// (query heads, then key heads, then value heads, each head dh = d /
+/// n_heads columns wide); returns [T, d] with head h's output in columns
+/// [h·dh, (h+1)·dh): row i is Σ_{j≤i} softmax_j(q_i·k_j / √dh) · v_j.
+/// Backward accumulates straight into qkv's gradient.
+Tensor causal_attention(Tape* tape, const Tensor& qkv, std::int64_t n_heads);
 
 /// out[T,D] = table[ids[t], :]; backward scatter-adds into the table.
 Tensor embedding(Tape* tape, const Tensor& table,
                  const std::vector<int>& ids);
-
-/// Columns [start, start+len) of x.
-Tensor slice_cols(Tape* tape, const Tensor& x, std::int64_t start,
-                  std::int64_t len);
-
-/// Horizontal concatenation of tensors with equal row counts.
-Tensor concat_cols(Tape* tape, const std::vector<Tensor>& parts);
-
-/// xᵀ
-Tensor transpose(Tape* tape, const Tensor& x);
 
 /// Scalar sum of all entries.
 Tensor sum(Tape* tape, const Tensor& x);

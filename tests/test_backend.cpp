@@ -1,8 +1,9 @@
 // Compute-backend contract (docs/BACKENDS.md): selection precedence,
 // cpuid dispatch, per-backend cross-thread bitwise determinism (on odd
 // shapes, so microkernel remainder paths land on different rows as the
-// chunk bounds move), scalar-vs-simd numerical tolerance, and the
-// per-backend observability counters/gauges.
+// chunk bounds move), scalar-vs-simd numerical tolerance for matmul,
+// elementwise, GELU and attention kernels, and the per-backend
+// observability counters/gauges.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -269,6 +270,164 @@ TEST_F(BackendTest, ElementwiseBitwiseAcrossThreadCountsPerBackend) {
     auto parallel = run();
     expect_bitwise_equal(serial.first, parallel.first);
     expect_bitwise_equal(serial.second, parallel.second);
+  }
+}
+
+// ---- GELU --------------------------------------------------------------
+//
+// Lengths around the 8-wide vector body (1, 7, 8, 9, 17) and a long run;
+// the inputs mix a N(0, 3²) spread with values past the simd tanh clamp
+// (±10, ±1e3) and at the tiny-argument cut, where gelu′ must still be
+// the plain 0 / 1 it is for std::tanh.
+const std::int64_t kGeluLengths[] = {1, 7, 8, 9, 17, 1000};
+
+std::vector<float> gelu_inputs(std::int64_t n) {
+  const float special[] = {10.0f, -10.0f, 1e3f, -1e3f, 0.0f, 5e-4f, -3e-4f};
+  Rng rng(static_cast<std::uint64_t>(43 + n));
+  std::vector<float> x(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = i % 3 == 0 ? special[(i / 3) % 7]
+                      : static_cast<float>(3.0 * rng.normal());
+  return x;
+}
+
+// gelu_fwd and gelu_bwd (onto a non-zero gradient) over [0, n), split by
+// the pool at grain 1 so chunk bounds land at every offset.
+std::pair<std::vector<float>, std::vector<float>> run_gelu(
+    const std::vector<float>& x) {
+  const auto n = static_cast<std::int64_t>(x.size());
+  std::vector<float> y(x.size()), gy(x.size()), gx(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    gy[i] = 0.25f + 0.01f * static_cast<float>(i % 17);
+    gx[i] = -0.5f;
+  }
+  const backend::ComputeBackend& be = backend::active();
+  util::parallel_for(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
+    be.gelu_fwd(x.data(), y.data(), i0, i1);
+    be.gelu_bwd(x.data(), gy.data(), gx.data(), i0, i1);
+  });
+  return {y, gx};
+}
+
+TEST_F(BackendTest, SimdGeluMatchesScalarWithinTolerance) {
+  if (!backend::simd_supported()) GTEST_SKIP() << "no AVX2+FMA";
+  for (const std::int64_t n : kGeluLengths) {
+    const std::vector<float> x = gelu_inputs(n);
+    backend::select("scalar");
+    const auto want = run_gelu(x);
+    backend::select("simd");
+    const auto got = run_gelu(x);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " x=" + std::to_string(x[i]));
+      EXPECT_NEAR(got.first[i], want.first[i],
+                  1e-6 * std::max(1.0f, std::fabs(want.first[i])));
+      EXPECT_NEAR(got.second[i], want.second[i],
+                  2e-6 * std::max(1.0f, std::fabs(want.second[i])));
+    }
+  }
+}
+
+TEST_F(BackendTest, GeluBitwiseAcrossThreadCountsPerBackend) {
+  for (const std::string& be : available_backends()) {
+    backend::select(be);
+    for (const std::int64_t n : kGeluLengths) {
+      const std::vector<float> x = gelu_inputs(n);
+      util::set_global_threads(1);
+      const auto serial = run_gelu(x);
+      for (int threads : {2, 3, 4}) {
+        util::set_global_threads(threads);
+        const auto parallel = run_gelu(x);
+        EXPECT_EQ(serial, parallel) << be << " n=" << n << " threads="
+                                    << threads;
+      }
+    }
+  }
+}
+
+// In-place application (the KV decoder's use) equals out-of-place.
+TEST_F(BackendTest, GeluInPlaceMatchesOutOfPlace) {
+  for (const std::string& be : available_backends()) {
+    backend::select(be);
+    std::vector<float> x = gelu_inputs(37);
+    std::vector<float> y(x.size());
+    backend::active().gelu_fwd(x.data(), y.data(), 0, 37);
+    backend::active().gelu_fwd(x.data(), x.data(), 0, 37);
+    EXPECT_EQ(x, y) << be;
+  }
+}
+
+// ---- causal attention --------------------------------------------------
+
+// Output, forward probabilities and qkv gradient of one attention call
+// through the kernels directly, heads split by the pool at grain 1.
+struct AttentionRun {
+  std::vector<float> out, probs, grad;
+};
+
+AttentionRun run_attention(std::int64_t t, std::int64_t d,
+                           std::int64_t n_heads) {
+  Rng rng(static_cast<std::uint64_t>(47 + t));
+  const Tensor qkv = Tensor::randn({t, 3 * d}, rng);
+  const Tensor gout = Tensor::randn({t, d}, rng);
+  AttentionRun r{std::vector<float>(static_cast<std::size_t>(t * d)),
+                 std::vector<float>(static_cast<std::size_t>(n_heads * t * t)),
+                 std::vector<float>(static_cast<std::size_t>(t * 3 * d), 0.5f)};
+  const backend::ComputeBackend& be = backend::active();
+  util::parallel_for(0, n_heads, 1, [&](std::int64_t h0, std::int64_t h1) {
+    be.attention_fwd(qkv.data(), r.out.data(), r.probs.data(), t, d, n_heads,
+                     h0, h1);
+  });
+  util::parallel_for(0, n_heads, 1, [&](std::int64_t h0, std::int64_t h1) {
+    be.attention_bwd(qkv.data(), r.probs.data(), gout.data(), r.grad.data(),
+                     t, d, n_heads, h0, h1);
+  });
+  return r;
+}
+
+const std::int64_t kAttentionLengths[] = {1, 7, 8, 9, 47, 84};
+
+double max_scaled_diff(const std::vector<float>& got,
+                       const std::vector<float>& want) {
+  double scale = 1e-6, worst = 0.0;
+  for (const float w : want) scale = std::max(scale, std::fabs(double{w}));
+  for (std::size_t i = 0; i < want.size(); ++i)
+    worst = std::max(worst, std::fabs(double{got[i]} - want[i]) / scale);
+  return worst;
+}
+
+TEST_F(BackendTest, SimdAttentionMatchesScalarWithinTolerance) {
+  if (!backend::simd_supported()) GTEST_SKIP() << "no AVX2+FMA";
+  for (const std::int64_t t : kAttentionLengths) {
+    SCOPED_TRACE("T=" + std::to_string(t));
+    backend::select("scalar");
+    const AttentionRun want = run_attention(t, 48, 4);
+    backend::select("simd");
+    const AttentionRun got = run_attention(t, 48, 4);
+    EXPECT_LT(max_scaled_diff(got.out, want.out), 1e-6);
+    EXPECT_LT(max_scaled_diff(got.probs, want.probs), 1e-6);
+    EXPECT_LT(max_scaled_diff(got.grad, want.grad), 2e-6);
+    // Masked entries are exact zeros on both backends.
+    for (std::int64_t h = 0; h < 4; ++h)
+      for (std::int64_t i = 0; i < t; ++i)
+        for (std::int64_t j = i + 1; j < t; ++j)
+          ASSERT_EQ(got.probs[static_cast<std::size_t>((h * t + i) * t + j)],
+                    0.0f);
+  }
+}
+
+TEST_F(BackendTest, AttentionBitwiseAcrossThreadCountsPerBackend) {
+  for (const std::string& be : available_backends()) {
+    backend::select(be);
+    for (const std::int64_t t : kAttentionLengths) {
+      util::set_global_threads(1);
+      const AttentionRun serial = run_attention(t, 48, 4);
+      for (int threads : {2, 3, 4}) {
+        util::set_global_threads(threads);
+        const AttentionRun parallel = run_attention(t, 48, 4);
+        EXPECT_EQ(serial.out, parallel.out) << be << " T=" << t;
+        EXPECT_EQ(serial.grad, parallel.grad) << be << " T=" << t;
+      }
+    }
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
+#include <vector>
 
+#include "tensor/backend/backend.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
@@ -12,6 +15,7 @@ namespace dpoaf::tensor {
 namespace {
 
 namespace ops = dpoaf::tensor::ops;
+namespace backend = dpoaf::tensor::backend;
 
 // Central finite-difference check: analytic grad of `loss(inputs)` wrt each
 // entry of each input vs (f(x+h)−f(x−h)) / 2h.
@@ -186,29 +190,200 @@ TEST(Ops, SoftmaxGradients) {
   });
 }
 
-TEST(Ops, CausalSoftmaxMasksUpperTriangle) {
-  Rng rng(9);
-  Tensor x = Tensor::randn({4, 4}, rng);
-  Tensor y = ops::causal_softmax_rows(nullptr, x);
-  for (std::int64_t i = 0; i < 4; ++i) {
-    float s = 0.0f;
-    for (std::int64_t j = 0; j < 4; ++j) {
-      if (j > i) {
-        EXPECT_EQ(y.at(i, j), 0.0f);
-      } else {
-        s += y.at(i, j);
-      }
-    }
-    EXPECT_NEAR(s, 1.0f, 1e-5f);
+// ---- causal_attention ----------------------------------------------
+//
+// The causal softmax, head slicing and concatenation of the per-head op
+// chain now live inside ops::causal_attention; these tests pin its
+// masking, its head decomposition, its gradients and its values against a
+// naive per-head reference, on every available backend.
+
+std::vector<std::string> available_backends() {
+  std::vector<std::string> out = {"scalar"};
+  if (backend::simd_supported()) out.push_back("simd");
+  return out;
+}
+
+template <typename Fn>
+void for_each_backend(Fn fn) {
+  for (const std::string& be : available_backends()) {
+    SCOPED_TRACE("backend " + be);
+    backend::select(be);
+    fn();
   }
+  backend::select("");
+}
+
+// Changing the keys and values of positions j > i never changes output
+// row i: the softmax weights above the diagonal are exact zeros.
+TEST(Ops, CausalSoftmaxMasksUpperTriangle) {
+  for_each_backend([] {
+    constexpr std::int64_t kT = 11, kD = 8, kHeads = 2;
+    Rng rng(9);
+    Tensor qkv = Tensor::randn({kT, 3 * kD}, rng);
+    const Tensor before = ops::causal_attention(nullptr, qkv, kHeads);
+    constexpr std::int64_t kCut = 4;  // perturb keys/values at j > kCut
+    for (std::int64_t j = kCut + 1; j < kT; ++j)
+      for (std::int64_t c = kD; c < 3 * kD; ++c) qkv.at(j, c) += 5.0f;
+    const Tensor after = ops::causal_attention(nullptr, qkv, kHeads);
+    for (std::int64_t i = 0; i <= kCut; ++i)
+      for (std::int64_t c = 0; c < kD; ++c)
+        EXPECT_EQ(after.at(i, c), before.at(i, c)) << "row " << i;
+    // Row 0 attends to itself alone: its output is v₀.
+    for (std::int64_t c = 0; c < kD; ++c)
+      EXPECT_FLOAT_EQ(after.at(0, c), qkv.at(0, 2 * kD + c));
+  });
 }
 
 TEST(Ops, CausalSoftmaxGradients) {
-  Rng rng(10);
-  Tensor x = Tensor::randn({3, 3}, rng).set_requires_grad(true);
-  Tensor w = Tensor::randn({3, 3}, rng);
-  check_gradients({x}, [&](Tape* t) {
-    return ops::sum(t, ops::mul(t, ops::causal_softmax_rows(t, x), w));
+  for_each_backend([] {
+    Rng rng(10);
+    Tensor qkv = Tensor::randn({5, 12}, rng).set_requires_grad(true);
+    Tensor w = Tensor::randn({5, 4}, rng);
+    check_gradients({qkv}, [&](Tape* t) {
+      return ops::sum(t, ops::mul(t, ops::causal_attention(t, qkv, 1), w));
+    });
+  });
+}
+
+// The multi-head op equals slicing each head's q|k|v columns out, running
+// one single-head op per head, and concatenating the outputs — bitwise,
+// gradients included (a head's arithmetic does not see the others).
+TEST(Ops, SliceAndConcatRoundTrip) {
+  for_each_backend([] {
+    constexpr std::int64_t kT = 13, kHeads = 3, kDh = 4, kD = kHeads * kDh;
+    Rng rng(11);
+    Tensor qkv = Tensor::randn({kT, 3 * kD}, rng).set_requires_grad(true);
+    Tensor w = Tensor::randn({kT, kD}, rng);
+    Tape tape;
+    const Tensor fused = ops::causal_attention(&tape, qkv, kHeads);
+    tape.backward(ops::sum(&tape, ops::mul(&tape, fused, w)));
+    for (std::int64_t h = 0; h < kHeads; ++h) {
+      Tensor part = Tensor::zeros({kT, 3 * kDh}).set_requires_grad(true);
+      Tensor wh = Tensor::zeros({kT, kDh});
+      for (std::int64_t i = 0; i < kT; ++i)
+        for (std::int64_t c = 0; c < kDh; ++c) {
+          for (std::int64_t s = 0; s < 3; ++s)
+            part.at(i, s * kDh + c) = qkv.at(i, s * kD + h * kDh + c);
+          wh.at(i, c) = w.at(i, h * kDh + c);
+        }
+      Tape head_tape;
+      const Tensor out = ops::causal_attention(&head_tape, part, 1);
+      head_tape.backward(ops::sum(&head_tape, ops::mul(&head_tape, out, wh)));
+      for (std::int64_t i = 0; i < kT; ++i)
+        for (std::int64_t c = 0; c < kDh; ++c) {
+          EXPECT_EQ(out.at(i, c), fused.at(i, h * kDh + c));
+          for (std::int64_t s = 0; s < 3; ++s)
+            EXPECT_EQ(part.grad()[i * 3 * kDh + s * kDh + c],
+                      qkv.grad()[i * 3 * kD + s * kD + h * kDh + c]);
+        }
+    }
+  });
+}
+
+// Four heads over 9 positions: the key dimension crosses an 8-lane block.
+TEST(Ops, CausalAttentionMultiHeadGradients) {
+  for_each_backend([] {
+    Rng rng(12);
+    Tensor qkv = Tensor::randn({9, 24}, rng).set_requires_grad(true);
+    Tensor w = Tensor::randn({9, 8}, rng);
+    check_gradients({qkv}, [&](Tape* t) {
+      return ops::sum(t, ops::mul(t, ops::causal_attention(t, qkv, 4), w));
+    });
+  });
+}
+
+TEST(Ops, CausalAttentionRejectsIndivisibleHeads) {
+  Tensor qkv = Tensor::zeros({3, 12});
+  EXPECT_THROW((void)ops::causal_attention(nullptr, qkv, 3), ContractViolation);
+  EXPECT_THROW((void)ops::causal_attention(nullptr, qkv, 0), ContractViolation);
+}
+
+// Naive per-head attention in double, straight from the definition, with
+// the gradients of Σ out ⊙ w.
+struct AttentionReference {
+  std::vector<double> out, grad;
+};
+
+AttentionReference attention_reference(const Tensor& qkv, const Tensor& w,
+                                       std::int64_t n_heads) {
+  const std::int64_t t = qkv.rows(), d = qkv.cols() / 3, dh = d / n_heads;
+  const double scale = 1.0 / std::sqrt(static_cast<double>(dh));
+  auto x = [&](std::int64_t i, std::int64_t c) {
+    return static_cast<double>(qkv.at(i, c));
+  };
+  AttentionReference ref{
+      std::vector<double>(static_cast<std::size_t>(t * d)),
+      std::vector<double>(static_cast<std::size_t>(qkv.numel()))};
+  auto g = [&](std::int64_t i, std::int64_t c) -> double& {
+    return ref.grad[static_cast<std::size_t>(i * 3 * d + c)];
+  };
+  for (std::int64_t h = 0; h < n_heads; ++h) {
+    const std::int64_t qc = h * dh, kc = d + h * dh, vc = 2 * d + h * dh;
+    for (std::int64_t i = 0; i < t; ++i) {
+      std::vector<double> p(static_cast<std::size_t>(i + 1));
+      double mx = -1e300, z = 0.0;
+      for (std::int64_t j = 0; j <= i; ++j) {
+        double s = 0.0;
+        for (std::int64_t c = 0; c < dh; ++c) s += x(i, qc + c) * x(j, kc + c);
+        p[static_cast<std::size_t>(j)] = s * scale;
+        mx = std::max(mx, s * scale);
+      }
+      for (double& pj : p) z += (pj = std::exp(pj - mx));
+      for (double& pj : p) pj /= z;
+      std::vector<double> dp(p.size());
+      double dot = 0.0;
+      for (std::int64_t j = 0; j <= i; ++j) {
+        const auto ju = static_cast<std::size_t>(j);
+        for (std::int64_t c = 0; c < dh; ++c) {
+          const double wc = w.at(i, h * dh + c);
+          ref.out[static_cast<std::size_t>(i * d + h * dh + c)] +=
+              p[ju] * x(j, vc + c);
+          dp[ju] += wc * x(j, vc + c);
+          g(j, vc + c) += p[ju] * wc;
+        }
+        dot += p[ju] * dp[ju];
+      }
+      for (std::int64_t j = 0; j <= i; ++j) {
+        const auto ju = static_cast<std::size_t>(j);
+        const double ds = p[ju] * (dp[ju] - dot) * scale;
+        for (std::int64_t c = 0; c < dh; ++c) {
+          g(i, qc + c) += ds * x(j, kc + c);
+          g(j, kc + c) += ds * x(i, qc + c);
+        }
+      }
+    }
+  }
+  return ref;
+}
+
+double max_scaled_diff(const float* got, const std::vector<double>& want) {
+  double scale = 1e-6;
+  for (const double v : want) scale = std::max(scale, std::fabs(v));
+  double worst = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    worst = std::max(worst, std::fabs(got[i] - want[i]) / scale);
+  return worst;
+}
+
+// Values and gradients against the reference at the lengths around the
+// 8-lane key blocks, 47 (a mid-size sequence) and the pipeline's max_seq.
+TEST(Ops, CausalAttentionMatchesNaiveReference) {
+  for_each_backend([] {
+    for (const std::int64_t n_heads : {1, 4}) {
+      for (const std::int64_t t : {1, 7, 8, 9, 47, 84}) {
+        SCOPED_TRACE("T=" + std::to_string(t) +
+                     " heads=" + std::to_string(n_heads));
+        Rng rng(static_cast<std::uint64_t>(100 + t));
+        Tensor qkv = Tensor::randn({t, 144}, rng).set_requires_grad(true);
+        Tensor w = Tensor::randn({t, 48}, rng);
+        Tape tape;
+        const Tensor out = ops::causal_attention(&tape, qkv, n_heads);
+        tape.backward(ops::sum(&tape, ops::mul(&tape, out, w)));
+        const AttentionReference ref = attention_reference(qkv, w, n_heads);
+        EXPECT_LT(max_scaled_diff(out.data(), ref.out), 2e-6);
+        EXPECT_LT(max_scaled_diff(qkv.grad(), ref.grad), 2e-6);
+      }
+    }
   });
 }
 
@@ -235,31 +410,6 @@ TEST(Ops, EmbeddingGatherAndScatter) {
 TEST(Ops, EmbeddingOutOfRangeThrows) {
   Tensor table = Tensor::zeros({3, 2});
   EXPECT_THROW((void)ops::embedding(nullptr, table, {3}), ContractViolation);
-}
-
-TEST(Ops, SliceAndConcatRoundTrip) {
-  Rng rng(11);
-  Tensor x = Tensor::randn({2, 6}, rng).set_requires_grad(true);
-  Tensor a = ops::slice_cols(nullptr, x, 0, 3);
-  Tensor b = ops::slice_cols(nullptr, x, 3, 3);
-  Tensor back = ops::concat_cols(nullptr, {a, b});
-  for (std::int64_t i = 0; i < x.numel(); ++i)
-    EXPECT_EQ(back.data()[i], x.data()[i]);
-
-  check_gradients({x}, [&](Tape* t) {
-    Tensor s1 = ops::slice_cols(t, x, 1, 2);
-    Tensor s2 = ops::slice_cols(t, x, 3, 2);
-    return ops::sum(t, ops::mul(t, s1, s2));
-  });
-}
-
-TEST(Ops, TransposeGradients) {
-  Rng rng(12);
-  Tensor x = Tensor::randn({2, 3}, rng).set_requires_grad(true);
-  Tensor w = Tensor::randn({3, 2}, rng);
-  check_gradients({x}, [&](Tape* t) {
-    return ops::sum(t, ops::mul(t, ops::transpose(t, x), w));
-  });
 }
 
 TEST(Ops, CrossEntropyMatchesManualComputation) {

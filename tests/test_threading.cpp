@@ -147,6 +147,31 @@ TEST(Determinism, ElementwiseAndRowOpsBitwiseAcrossThreadCounts) {
   });
 }
 
+// The fused attention op (forward, qkv gradient) at the pipeline's shape
+// and at max_seq: heads split across the pool at 4 threads.
+TEST(Determinism, CausalAttentionBitwiseAcrossThreadCounts) {
+  for (const std::int64_t t : {45, 84}) {
+    auto run = [t] {
+      Rng rng(17);
+      Tensor qkv = Tensor::randn({t, 144}, rng).set_requires_grad(true);
+      Tensor w = Tensor::randn({t, 48}, rng);
+      Tape tape;
+      Tensor out = ops::causal_attention(&tape, qkv, 4);
+      tape.backward(ops::sum(&tape, ops::mul(&tape, out, w)));
+      Tensor gqkv = Tensor::from(
+          qkv.shape(),
+          std::vector<float>(qkv.grad(), qkv.grad() + qkv.numel()));
+      return std::make_pair(out, gqkv);
+    };
+    for_each_backend([&](const char* be) {
+      backend::select(be);
+      auto [serial, parallel] = with_both_thread_counts(run);
+      expect_bitwise_equal(serial.first, parallel.first);
+      expect_bitwise_equal(serial.second, parallel.second);
+    });
+  }
+}
+
 // End-to-end: the full DPO-AF loop (pretrain → candidates → pairs → DPO →
 // checkpoint eval) at threads=1 and threads=4 must produce identical
 // EpochMetrics and CheckpointEvals on a fixed seed.
