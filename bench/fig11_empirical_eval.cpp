@@ -18,7 +18,6 @@
 
 #include "bench_common.hpp"
 #include "core/pipeline.hpp"
-#include "serve/service.hpp"
 #include "sim/empirical.hpp"
 #include "util/table.hpp"
 
@@ -29,8 +28,7 @@ using namespace dpoaf;
 // Sample responses from `model`, build controllers for every parseable
 // one, roll each out in its task's scenario, and aggregate P_Phi per spec.
 // Sampling follows the pipeline's per-request seed contract: each sample
-// draws a request seed from `rng` and decodes with
-// serve::request_rng(service_seed, request seed).
+// draws a request seed from `rng` and decodes it with core::sample_direct.
 std::map<std::string, double> evaluate_in_system(
     const core::DpoAfPipeline& pipe, const nn::TinyGpt& model,
     const std::vector<modelcheck::NamedSpec>& specs, int samples_per_task,
@@ -49,14 +47,10 @@ std::map<std::string, double> evaluate_in_system(
 
     const std::vector<int> prompt = lm::encode_prompt(tok, task.prompt);
     std::vector<std::string> responses;
-    for (int s = 0; s < samples_per_task; ++s) {
-      Rng request = serve::request_rng(service_seed, rng());
+    for (int s = 0; s < samples_per_task; ++s)
       responses.push_back(tok.decode(
-          model
-              .generate(prompt, sampler.max_new_tokens, sampler.temperature,
-                        sampler.top_k, tok.eos(), request)
+          core::sample_direct(model, tok, prompt, sampler, service_seed, rng())
               .ids));
-    }
     for (const auto& response : responses) {
       auto g2f = glm2fsa::glm2fsa(response, pipe.domain().aligner(),
                                   pipe.domain().build_options());

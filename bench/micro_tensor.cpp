@@ -145,19 +145,6 @@ void matmul_backward_threads_bench(benchmark::State& state,
   backend::select("");
 }
 
-// The causal softmax lives inside ops::causal_attention; this row times
-// that op's forward at 64 positions (d = 48, 4 heads) on the active
-// backend.
-void BM_SoftmaxRows(benchmark::State& state) {
-  Rng rng(2);
-  Tensor qkv = Tensor::randn({64, 3 * 48}, rng);
-  for (auto _ : state) {
-    Tensor y = ops::causal_attention(nullptr, qkv, 4);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_SoftmaxRows);
-
 void BM_LayerNorm(benchmark::State& state) {
   Rng rng(3);
   Tensor x = Tensor::randn({64, 48}, rng);

@@ -2,7 +2,7 @@
 """Gate the simd backend's matmul and GELU speedups over scalar (stdlib only).
 
 Usage: check_bench_regression.py BENCH.json [--mode tensor]
-                                 [--min-ratio 2.0] [--gelu-min-ratio 4.0]
+                                 [--min-ratio 2.0]
                                  [--out BENCH_tensor.json]
 
 Reads a google-benchmark ``--benchmark_out`` JSON file with two row
@@ -16,7 +16,7 @@ certificate — see bench/micro_tensor.cpp):
   real working set.
 - ``BM_Gelu/<backend>`` rows carry an ``elem/s`` counter (GELU forward +
   backward over one minibatch's MLP activations). The gate is their
-  simd:scalar ratio (--gelu-min-ratio).
+  simd:scalar ratio, at a fixed floor of GELU_MIN_RATIO.
 
 Writes a summary artifact with the per-size matmul GFLOP/s, the GELU
 throughputs and the ratios, then fails (exit 1) if either ratio is below
@@ -32,6 +32,9 @@ import sys
 
 MATMUL_ROW = re.compile(r"^BM_Matmul/(scalar|simd)/(\d+)$")
 GELU_ROW = re.compile(r"^BM_Gelu/(scalar|simd)$")
+# Minimum simd:scalar BM_Gelu elem/s ratio; the AVX2 kernel measures
+# roughly 16-40x, so 4x only trips when the vector path stops being used.
+GELU_MIN_RATIO = 4.0
 
 
 def rate(bench, counter):
@@ -80,9 +83,6 @@ def main():
     parser.add_argument("--min-ratio", type=float, default=2.0,
                         help="minimum simd:scalar matmul GFLOP/s ratio at "
                              "the largest common size (default: 2.0)")
-    parser.add_argument("--gelu-min-ratio", type=float, default=4.0,
-                        help="minimum simd:scalar BM_Gelu elem/s ratio "
-                             "(default: 4.0)")
     parser.add_argument("--out", default="BENCH_tensor.json",
                         help="summary artifact path "
                              "(default: BENCH_tensor.json)")
@@ -105,7 +105,7 @@ def main():
             for n in sizes
         ],
         "gelu": {
-            "min_ratio": args.gelu_min_ratio,
+            "min_ratio": GELU_MIN_RATIO,
             "scalar_elem_per_s": gelu.get("scalar"),
             "simd_elem_per_s": gelu.get("simd"),
             "ratio": (round(gelu["simd"] / gelu["scalar"], 3)
@@ -142,12 +142,12 @@ def main():
         failed = True
     else:
         ratio = summary["gelu"]["ratio"]
-        verdict = "FAIL" if ratio < args.gelu_min_ratio else "OK"
+        verdict = "FAIL" if ratio < GELU_MIN_RATIO else "OK"
         print(f"{verdict}: gelu simd:scalar ratio {ratio}x "
               f"(scalar {gelu['scalar'] / 1e6:.1f} M elem/s, simd "
               f"{gelu['simd'] / 1e6:.1f} M elem/s) against the "
-              f"{args.gelu_min_ratio}x floor")
-        failed = failed or ratio < args.gelu_min_ratio
+              f"{GELU_MIN_RATIO}x floor")
+        failed = failed or ratio < GELU_MIN_RATIO
     return 1 if failed else 0
 
 

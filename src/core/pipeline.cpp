@@ -89,6 +89,16 @@ serve::ServiceConfig make_serve_config(const PipelineConfig& config) {
 
 }  // namespace
 
+nn::Generation sample_direct(const TinyGpt& model, const Tokenizer& tokenizer,
+                             const std::vector<int>& prompt,
+                             const lm::SamplerConfig& sampler,
+                             std::uint64_t service_seed,
+                             std::uint64_t request_seed) {
+  Rng rng = serve::request_rng(service_seed, request_seed);
+  return model.generate(prompt, sampler.max_new_tokens, sampler.temperature,
+                        sampler.top_k, tokenizer.eos(), rng);
+}
+
 DpoAfPipeline::DpoAfPipeline(PipelineConfig config)
     : config_(config),
       domain_(make_generator_config(config_)),
@@ -344,10 +354,8 @@ void DpoAfPipeline::stream_scored_responses(
     // Direct / catalog sampler: workers claim whole tasks (each task's
     // RNG stream is private, so the claim order is irrelevant) and decode
     // serially — the worker count is the stage's parallelism. Each sample
-    // follows the serve path's seed contract: a request seed drawn
-    // serially from the task RNG, decoded with request_rng(service seed,
-    // request seed). The service emits exactly model.generate's tokens
-    // for that RNG, so direct and served runs are bitwise-equal.
+    // draws its request seed serially from the task RNG and decodes it
+    // with sample_direct, the serve path's seed contract.
     const int gen_workers =
         source == SampleSource::kCatalog
             ? 1
@@ -371,10 +379,9 @@ void DpoAfPipeline::stream_scored_responses(
                   lm::encode_prompt(tokenizer_, tasks[u]->prompt);
               for (int s = 0; s < counts[u]; ++s) {
                 obs::Span span("generation", gen_hist);
-                Rng rng = serve::request_rng(serve_config.seed, task_rngs[u]());
-                const auto gen = model.generate(
-                    prompt, sampler.max_new_tokens, sampler.temperature,
-                    sampler.top_k, tokenizer_.eos(), rng);
+                const auto gen =
+                    sample_direct(model, tokenizer_, prompt, sampler,
+                                  serve_config.seed, task_rngs[u]());
                 responses.add();
                 tokens.add(gen.ids.size());
                 if (gen.truncated) truncations.add();

@@ -14,6 +14,7 @@
 //      (Figure 9).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -218,6 +219,17 @@ struct RunResult {
   bool has_generalization = false;
   GeneralizationEval generalization;
 };
+
+/// One direct-mode sample under the serve layer's seed contract: decodes
+/// `prompt` with serve::request_rng(service_seed, request_seed). The
+/// service emits exactly these tokens for the same request, so direct and
+/// served runs are bitwise-equal. Every direct sampler draws through here.
+[[nodiscard]] nn::Generation sample_direct(const TinyGpt& model,
+                                           const Tokenizer& tokenizer,
+                                           const std::vector<int>& prompt,
+                                           const lm::SamplerConfig& sampler,
+                                           std::uint64_t service_seed,
+                                           std::uint64_t request_seed);
 
 class DpoAfPipeline {
  public:
